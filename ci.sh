@@ -2,7 +2,8 @@
 # CI gate, in two tiers. Everything runs offline — the workspace has
 # zero external dependencies.
 #
-#   ./ci.sh quick   fmt, clippy, debug build, unit tests, corpus replay
+#   ./ci.sh quick   fmt, clippy, debug build, unit tests, benchmark tests,
+#                   corpus replay
 #                   (the edit-compile loop: fast, no release artifacts)
 #   ./ci.sh full    everything in quick, plus the release build, chaos
 #                   sweep, differential fuzz, the AST round-trip
@@ -81,6 +82,12 @@ run_step quick "cargo clippy (no unwrap in omprt/rtcheck/cfront/core hot paths)"
 run_step quick "debug build" cargo build --workspace
 
 run_step quick "test suite" cargo test --workspace -q
+
+# The benchmark (perfbench/) is its own workspace over this one's public
+# API; build and test it here so an API change that breaks it fails in
+# the edit-compile loop instead of at merge.
+run_step quick "benchmark build + tests" \
+  cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Replay the committed adversarial corpus (arrays, predicates, kernels,
 # reinspect plans, composed chains, frontend sources) without the

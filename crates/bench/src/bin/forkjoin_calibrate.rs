@@ -4,10 +4,8 @@
 //! Two quantities are measured, both against live pools:
 //!
 //! * **fork-join latency** — median over 7 samples of back-to-back empty
-//!   regions, for the claim-based [`ThreadPool`] *and* the retained
-//!   pre-rework [`LegacyMutexPool`], at each requested thread count. The
-//!   side-by-side legacy number makes the rework's improvement
-//!   reproducible on any machine rather than a historical claim.
+//!   regions of the claim-based [`ThreadPool`], at each requested thread
+//!   count.
 //! * **dynamic dispatch overhead** — the extra cost of `dynamic(1)`
 //!   self-scheduling over `static` for the same trivial loop, divided by
 //!   the number of batched claims the dynamic schedule actually issues.
@@ -29,7 +27,7 @@
 
 use std::time::Instant;
 use subsub_bench::calibration::validate_calibration_doc;
-use subsub_omprt::legacy::LegacyMutexPool;
+use subsub_bench::cli;
 use subsub_omprt::schedule::dynamic_batch;
 use subsub_omprt::{MachineCalibration, Schedule, ThreadPool};
 
@@ -49,6 +47,9 @@ struct Args {
     threads_explicit: bool,
 }
 
+const USAGE: &str = "usage: forkjoin_calibrate [--quick] [--out PATH] [--threads 1,2,4]\n       \
+                     forkjoin_calibrate --validate PATH [--threads 1,2,4]";
+
 fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
@@ -57,23 +58,24 @@ fn parse_args() -> Args {
         threads: vec![1, 2, 4],
         threads_explicit: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut cli = cli::Args::from_env("forkjoin_calibrate", USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--quick" => args.quick = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--validate" => args.validate = Some(it.next().expect("--validate needs a path")),
+            "--out" => args.out = cli.value(&flag),
+            "--validate" => args.validate = Some(cli.value(&flag)),
             "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a list")
+                let list = cli.value(&flag);
+                args.threads = list
                     .split(',')
-                    .map(|s| s.trim().parse().expect("thread counts are integers"))
-                    .collect();
-                assert!(!args.threads.is_empty(), "--threads list is empty");
+                    .map(|s| s.trim().parse().ok().filter(|&t: &usize| t > 0))
+                    .collect::<Option<_>>()
+                    .unwrap_or_else(|| {
+                        cli.fail(format!("--threads {list:?}: expected positive integers"))
+                    });
                 args.threads_explicit = true;
             }
-            other => panic!("unknown argument: {other} (see module docs)"),
+            other => cli.unknown(other),
         }
     }
     args
@@ -142,66 +144,37 @@ fn main() {
         "fork-join calibration: {SAMPLES} samples x {regions} regions per point{}",
         if args.quick { " (quick)" } else { "" }
     );
-    println!(
-        "{:>8} {:>14} {:>14} {:>12}",
-        "threads", "new (ns)", "legacy (ns)", "improvement"
-    );
+    println!("{:>8} {:>14}", "threads", "fork-join (ns)");
 
     let mut series = Vec::new();
     for &t in &args.threads {
-        // Legacy first and dropped before the new pool exists, so neither
-        // pool's workers can perturb the other's measurement.
-        let legacy_ns = {
-            let pool = LegacyMutexPool::new(t);
-            for _ in 0..regions {
-                pool.run(|_| {});
-            }
-            median_ns(regions, || pool.run(|_| {}))
-        };
-        let new_ns = {
-            let pool = ThreadPool::new(t);
-            for _ in 0..regions {
-                pool.run(|_| {});
-            }
-            median_ns(regions, || pool.run(|_| {}))
-        };
-        let improvement = legacy_ns / new_ns.max(1e-9);
-        println!("{t:>8} {new_ns:>14.1} {legacy_ns:>14.1} {improvement:>11.1}x");
-        series.push((t, new_ns, legacy_ns, improvement));
+        let pool = ThreadPool::new(t);
+        for _ in 0..regions {
+            pool.run(|_| {});
+        }
+        let ns = median_ns(regions, || pool.run(|_| {}));
+        println!("{t:>8} {ns:>14.1}");
+        series.push((t, ns));
     }
 
     // Calibration point: the largest requested team (the paper's tables
     // quote 4 threads by default).
-    let &(cal_threads, fork_join_ns, legacy_fork_join_ns, improvement) =
-        series.last().expect("at least one thread count");
+    let &(cal_threads, fork_join_ns) = series.last().expect("at least one thread count");
     let dispatch_ns = {
         let pool = ThreadPool::new(cal_threads);
         dispatch_overhead_ns(&pool, args.quick)
     };
     println!("dispatch overhead at {cal_threads} threads: {dispatch_ns:.2} ns/claim");
-    if improvement < 2.0 {
-        eprintln!(
-            "warning: claim-based pool is only {improvement:.2}x over the legacy \
-             mutex pool at {cal_threads} threads (expected >= 2x on an idle machine)"
-        );
-    }
 
     let series_json = series
         .iter()
-        .map(|(t, n, l, i)| {
-            format!(
-                "{{\"threads\":{t},\"new_ns\":{n:.1},\"legacy_ns\":{l:.1},\"improvement\":{i:.2}}}"
-            )
-        })
+        .map(|(t, n)| format!("{{\"threads\":{t},\"ns\":{n:.1}}}"))
         .collect::<Vec<_>>()
         .join(",");
-    let doc =
-        format!(
-        "{{\n  \"schema\": \"subsub-forkjoin/v1\",\n  \"quick\": {},\n  \"cal_threads\": {},\n  \
-         \"fork_join_ns\": {:.1},\n  \"dispatch_ns\": {:.2},\n  \"legacy_fork_join_ns\": {:.1},\n  \
-         \"improvement\": {:.2},\n  \"series\": [{}]\n}}\n",
-        args.quick, cal_threads, fork_join_ns, dispatch_ns, legacy_fork_join_ns, improvement,
-        series_json
+    let doc = format!(
+        "{{\n  \"schema\": \"subsub-forkjoin/v2\",\n  \"quick\": {},\n  \"cal_threads\": {},\n  \
+         \"fork_join_ns\": {:.1},\n  \"dispatch_ns\": {:.2},\n  \"series\": [{}]\n}}\n",
+        args.quick, cal_threads, fork_join_ns, dispatch_ns, series_json
     );
     // Dogfood: the emitted document must round-trip through the parser
     // the simulator will use.

@@ -4,8 +4,7 @@
 //!
 //! Usage:
 //!   fuzz [SEED...] [--no-kernels] [--arrays N] [--predicates N]
-//!        [--sources N] [--corpus DIR | --no-corpus] [--threads N]
-//!        [--replay-only]
+//!        [--sources N] [--corpus DIR | --no-corpus] [--replay-only]
 //!
 //! With no seeds given, the CI-pinned trio 7, 31337, 271828 runs.
 //! `--replay-only` skips the campaigns and only replays the committed
@@ -19,7 +18,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use subsub_omprt::ThreadPool;
 use subsub_oracle::{load_dir, replay_all, run_campaign, FuzzConfig};
 
 const PINNED_SEEDS: [u64; 3] = [7, 31337, 271828];
@@ -31,7 +29,6 @@ struct Args {
     sources: usize,
     kernels: bool,
     corpus: Option<PathBuf>,
-    threads: usize,
     replay_only: bool,
 }
 
@@ -51,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         sources: 160,
         kernels: true,
         corpus: default_corpus_dir(),
-        threads: 3,
         replay_only: false,
     };
     // Environment-scaled campaign volume; CLI flags below override it.
@@ -89,15 +85,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--sources: {e}"))?
             }
             "--corpus" => args.corpus = Some(PathBuf::from(grab("--corpus")?)),
-            "--threads" => {
-                args.threads = grab("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: fuzz [SEED...] [--no-kernels] [--arrays N] [--predicates N] \
-                     [--sources N] [--corpus DIR | --no-corpus] [--threads N] [--replay-only]"
+                     [--sources N] [--corpus DIR | --no-corpus] [--replay-only]"
                         .into(),
                 )
             }
@@ -112,9 +103,6 @@ fn parse_args() -> Result<Args, String> {
     if args.seeds.is_empty() {
         args.seeds = PINNED_SEEDS.to_vec();
     }
-    if args.threads == 0 {
-        return Err("--threads must be >= 1".into());
-    }
     Ok(args)
 }
 
@@ -127,7 +115,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let pool = ThreadPool::new(args.threads);
     let mut failed = false;
 
     if args.replay_only {
@@ -144,7 +131,7 @@ fn main() -> ExitCode {
                 sources: args.sources,
                 kernels: args.kernels,
             };
-            let report = run_campaign(&cfg, &pool);
+            let report = run_campaign(&cfg);
             println!("{report}");
             if !report.is_clean() {
                 failed = true;
@@ -155,7 +142,7 @@ fn main() -> ExitCode {
     if let Some(dir) = &args.corpus {
         match load_dir(dir) {
             Ok(entries) => {
-                let regressions = replay_all(&entries, &pool);
+                let regressions = replay_all(&entries);
                 println!(
                     "corpus replay: {} entries from {}, {} regression(s)",
                     entries.len(),

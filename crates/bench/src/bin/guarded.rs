@@ -1,6 +1,6 @@
 //! Demonstrates guarded execution end to end: the compiled runtime check,
-//! the index-array inspection, memoized re-runs, and graceful degradation
-//! to serial when an index array is corrupted.
+//! the verified index arrays and their summary verdicts, repeated runs,
+//! and graceful degradation to serial when an index array is corrupted.
 //!
 //! Usage: `cargo run -p subsub-bench --bin guarded [kernel-name]`
 
@@ -57,13 +57,8 @@ fn main() {
 
         let s = harness.stats();
         println!(
-            "guard stats:    {} parallel, {} serial fallback ({} inspection), cache {} hit / {} miss / {} invalidated",
-            s.parallel_runs,
-            s.serial_fallbacks,
-            s.inspection_failures,
-            s.cache.hits,
-            s.cache.misses,
-            s.cache.invalidations
+            "guard stats:    {} parallel, {} serial fallback ({} inspection, {} validation)",
+            s.parallel_runs, s.serial_fallbacks, s.inspection_failures, s.validation_rejections
         );
         println!();
     }

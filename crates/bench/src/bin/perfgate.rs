@@ -14,43 +14,31 @@
 //! commit the new baseline alongside it.
 
 use std::process;
+use subsub_bench::cli::Args;
 use subsub_bench::perfgate::{
     baseline_json, compare, parse_baseline, passes, run_suite, GateStatus, DEFAULT_TOLERANCE,
 };
+
+const USAGE: &str = "usage: perfgate [--baseline PATH] [--tolerance FRAC]\n       \
+                     perfgate --update [--baseline PATH]";
 
 fn main() {
     let mut baseline_path = "BENCH_baseline.json".to_string();
     let mut tolerance = DEFAULT_TOLERANCE;
     let mut update = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--baseline" => {
-                baseline_path = need(i);
-                i += 2;
-            }
-            "--tolerance" => {
-                tolerance = need(i).parse().expect("--tolerance must be a number");
-                i += 2;
-            }
-            "--update" => {
-                update = true;
-                i += 1;
-            }
-            other => panic!("unknown argument {other:?}"),
+    let mut args = Args::from_env("perfgate", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--baseline" => baseline_path = args.value(&flag),
+            "--tolerance" => tolerance = args.parsed(&flag),
+            "--update" => update = true,
+            other => args.unknown(other),
         }
     }
-    assert!(
-        tolerance > 0.0 && tolerance < 1.0,
-        "--tolerance must be in (0, 1)"
-    );
+    if !(tolerance > 0.0 && tolerance < 1.0) {
+        args.fail(format!("--tolerance {tolerance} is not in (0, 1)"));
+    }
 
     let results = run_suite();
 

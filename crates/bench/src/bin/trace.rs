@@ -8,15 +8,20 @@
 //! ```
 //!
 //! Capture mode arms the flight recorder, runs the kernel twice under
-//! the full guarded pipeline (plus one pool-sized synthetic inspection,
-//! so analysis-serial kernels still exercise fork-join and the guard),
+//! the full guarded pipeline (plus one synthetic guarded decision whose
+//! admitted variant opens a fork-join region, so analysis-serial kernels
+//! still exercise fork-join and the guard),
 //! writes the Chrome `trace_event` JSON and the `subsub-telemetry/v1`
 //! metrics snapshot, and self-validates the emitted trace — exiting
 //! nonzero if it is malformed or missing a required span family. Load
 //! the output at `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use std::process;
+use subsub_bench::cli::Args;
 use subsub_bench::trace::{capture_trace, counter_lines, summarize, validate_trace_file};
+
+const USAGE: &str = "usage: trace [--kernel NAME] [--dataset NAME] [--threads N] \
+                     [--out PATH] [--snapshot PATH]\n       trace --validate PATH";
 
 fn main() {
     let mut kernel = "AMGmk".to_string();
@@ -26,40 +31,16 @@ fn main() {
     let mut snapshot = "target/BENCH_telemetry.json".to_string();
     let mut validate: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--kernel" => {
-                kernel = need(i);
-                i += 2;
-            }
-            "--dataset" => {
-                dataset = Some(need(i));
-                i += 2;
-            }
-            "--threads" => {
-                threads = need(i).parse().expect("--threads must be an integer");
-                i += 2;
-            }
-            "--out" => {
-                out = need(i);
-                i += 2;
-            }
-            "--snapshot" => {
-                snapshot = need(i);
-                i += 2;
-            }
-            "--validate" => {
-                validate = Some(need(i));
-                i += 2;
-            }
-            other => panic!("unknown argument {other:?}"),
+    let mut args = Args::from_env("trace", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--kernel" => kernel = args.value(&flag),
+            "--dataset" => dataset = Some(args.value(&flag)),
+            "--threads" => threads = args.parsed(&flag),
+            "--out" => out = args.value(&flag),
+            "--snapshot" => snapshot = args.value(&flag),
+            "--validate" => validate = Some(args.value(&flag)),
+            other => args.unknown(other),
         }
     }
 

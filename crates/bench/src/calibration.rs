@@ -35,7 +35,7 @@ pub fn validate_calibration_doc(
 ) -> Result<CalibrationSummary, String> {
     let root = parse(doc).map_err(|e| format!("not valid JSON: {e}"))?;
     match root.get("schema").and_then(Json::as_str) {
-        Some("subsub-forkjoin/v1") => {}
+        Some("subsub-forkjoin/v2") => {}
         other => return Err(format!("unexpected schema {other:?}")),
     }
     // The simulator's scanner is the consumer contract: the file must
@@ -99,17 +99,12 @@ mod tests {
     fn doc(cal_threads: usize, series: &[usize]) -> String {
         let points = series
             .iter()
-            .map(|t| {
-                format!(
-                    "{{\"threads\":{t},\"new_ns\":100.0,\"legacy_ns\":400.0,\"improvement\":4.00}}"
-                )
-            })
+            .map(|t| format!("{{\"threads\":{t},\"ns\":100.0}}"))
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema\":\"subsub-forkjoin/v1\",\"quick\":true,\"cal_threads\":{cal_threads},\
-             \"fork_join_ns\":100.0,\"dispatch_ns\":5.00,\"legacy_fork_join_ns\":400.0,\
-             \"improvement\":4.00,\"series\":[{points}]}}"
+            "{{\"schema\":\"subsub-forkjoin/v2\",\"quick\":true,\"cal_threads\":{cal_threads},\
+             \"fork_join_ns\":100.0,\"dispatch_ns\":5.00,\"series\":[{points}]}}"
         )
     }
 
@@ -144,10 +139,15 @@ mod tests {
     fn structural_defects_are_rejected() {
         assert!(validate_calibration_doc("not json", None).is_err());
         assert!(validate_calibration_doc("{\"schema\":\"other/v1\"}", None).is_err());
-        let no_series = "{\"schema\":\"subsub-forkjoin/v1\",\"cal_threads\":2,\
+        let no_series = "{\"schema\":\"subsub-forkjoin/v2\",\"cal_threads\":2,\
                          \"fork_join_ns\":100.0,\"dispatch_ns\":5.0}";
         let err = validate_calibration_doc(no_series, None).expect_err("no series");
         assert!(err.contains("series"), "{err}");
+        let v1 = doc(4, &[4]).replace("subsub-forkjoin/v2", "subsub-forkjoin/v1");
+        assert!(
+            validate_calibration_doc(&v1, None).is_err(),
+            "v1 is superseded"
+        );
         let bad_const = doc(4, &[4]).replace("\"fork_join_ns\":100.0", "\"fork_join_ns\":-1.0");
         assert!(validate_calibration_doc(&bad_const, None).is_err());
     }

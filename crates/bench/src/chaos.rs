@@ -4,10 +4,9 @@
 //!
 //! For every kernel, one guarded invocation runs with a
 //! [`FailPlan::seeded`] schedule armed over [`CHAOS_SITES`] — worker
-//! deaths at wake and claim, delays on the fork/join hot path, inspector
-//! chunk panics, dropped or corrupted cache inserts, corrupted check
-//! evaluations, dispatch faults, and panics inside the parallel kernel
-//! body. Whatever fires, the invocation must end in exactly one of two
+//! deaths at wake and claim, delays on the fork/join hot path,
+//! corrupted check evaluations, dispatch faults, and panics inside the
+//! parallel kernel body. Whatever fires, the invocation must end in exactly one of two
 //! states:
 //!
 //! * **completed parallel** — the output agrees with the serial golden
@@ -31,7 +30,7 @@ use subsub_rtcheck::ExecError;
 /// Every failpoint site the runtime exposes, with the arms a chaos
 /// schedule may legally draw for it. Sites on coordinator-only paths
 /// (region fork/join) and sites consulted outside any `catch_unwind`
-/// (cache insert, check eval, dispatch) must never panic — a panic there
+/// (check eval, dispatch) must never panic — a panic there
 /// would be a harness abort, not an injected fault — so their allowed
 /// arms are restricted to what their callers are built to absorb.
 pub const CHAOS_SITES: &[(&str, &[Arm])] = &[
@@ -48,14 +47,6 @@ pub const CHAOS_SITES: &[(&str, &[Arm])] = &[
     ("omprt.region.join", &[Arm::Delay(1)]),
     // Inside a reduction job: caught by the region's panic containment.
     ("omprt.reduce.slot", &[Arm::Panic, Arm::Delay(1)]),
-    // Inspector chunk body: a panic surfaces as a faulted inspection,
-    // which must be retried / serial-rescued, never memoized.
-    ("rtcheck.inspect.chunk", &[Arm::Panic, Arm::Delay(1)]),
-    // Cache insert: dropped (Error) or conservatively corrupted memo.
-    (
-        "rtcheck.cache.insert",
-        &[Arm::Error, Arm::Corrupt, Arm::Delay(1)],
-    ),
     // Scalar check evaluation: corrupt = conservative deny.
     (
         "rtcheck.check.eval",
@@ -227,10 +218,7 @@ mod tests {
                     "{site} must be delay-only"
                 );
             }
-            if site.starts_with("rtcheck.cache")
-                || site.starts_with("rtcheck.check")
-                || site.starts_with("rtcheck.guard")
-            {
+            if site.starts_with("rtcheck.check") || site.starts_with("rtcheck.guard") {
                 assert!(
                     !arms.contains(&Arm::Panic),
                     "{site} is hit outside catch_unwind; Panic would abort"

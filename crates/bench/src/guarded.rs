@@ -3,9 +3,9 @@
 //!
 //! Construction runs the real compile-time pipeline once and compiles the
 //! plan's check; each [`GuardedHarness::run`] then evaluates the check
-//! against the instance's scalar bindings, inspects (or cache-revalidates)
-//! its index arrays, and executes the admitted variant. Repeated runs on
-//! an unchanged instance are revalidated from the inspector cache in O(1).
+//! against the instance's scalar bindings, verifies each index array and
+//! reads its verdict off the block summaries in O(n / `BLOCK_LEN`), and
+//! executes the admitted variant.
 //!
 //! Execution is fault-tolerant end to end: the two-phase
 //! `decide_recoverable` / `execute_admitted` protocol re-checks index
@@ -126,7 +126,7 @@ impl GuardedHarness {
             .borrow()
             .index_arrays()
             .iter()
-            .map(|v| (v.name.to_string(), v.version))
+            .map(|v| (v.name.to_string(), v.version()))
             .collect();
         let versions: Vec<(&str, u64)> = versions_owned
             .iter()
@@ -238,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_runs_hit_the_cache() {
+    fn repeated_runs_are_admitted_from_the_summaries() {
         let pool = ThreadPool::new(2);
         let k = kernel_by_name("SDDMM").unwrap();
         let harness = GuardedHarness::new(k.as_ref(), AlgorithmLevel::New);
@@ -248,11 +248,7 @@ mod tests {
         inst.reset();
         harness.run(inst.as_mut(), &pool, Schedule::dynamic_default());
         let s = harness.stats();
-        assert_eq!(s.parallel_runs, 2);
-        assert!(
-            s.cache.hits >= 1,
-            "second run must revalidate from cache: {s:?}"
-        );
+        assert_eq!((s.parallel_runs, s.serial_fallbacks), (2, 0), "{s:?}");
     }
 
     #[test]

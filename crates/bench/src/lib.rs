@@ -17,6 +17,7 @@
 pub mod calibration;
 pub mod chaos;
 pub mod chaos_serve;
+pub mod cli;
 pub mod conform;
 pub mod decide;
 pub mod guarded;

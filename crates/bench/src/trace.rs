@@ -2,12 +2,12 @@
 //!
 //! [`capture_trace`] arms the telemetry subsystem, drives one kernel
 //! from the registry through the full guarded pipeline (analysis
-//! decision → breaker admission → scalar check → cached inspection →
-//! tamper gate → dispatch) on a real thread pool, and additionally runs
-//! one pool-sized synthetic inspection so the fork-join machinery is
-//! exercised even for kernels whose own index arrays sit below the
-//! parallel-inspection threshold (or that are analysis-serial and never
-//! reach the guard's inspector at all).
+//! decision → breaker admission → scalar check → verify + summary
+//! verdict → tamper gate → dispatch) on a real thread pool, and
+//! additionally runs one synthetic guarded decision whose admitted
+//! variant opens a fork-join region, so the guard, the verdict source
+//! and the pool are exercised even for kernels that are
+//! analysis-serial and never reach the guard at all.
 //!
 //! The captured events are rendered to the Chrome `trace_event` format
 //! and validated with the strict parser before being reported — the CI
@@ -17,7 +17,9 @@ use crate::guarded::GuardedHarness;
 use subsub_core::AlgorithmLevel;
 use subsub_kernels::kernel_by_name;
 use subsub_omprt::{Schedule, ThreadPool};
-use subsub_rtcheck::{Bindings, GuardedExecutor, IndexArrayView, MonotoneReq, PAR_THRESHOLD};
+use subsub_rtcheck::{
+    Bindings, GuardedExecutor, MonotoneReq, Provenance, ValidatedIndexArray, BLOCK_LEN,
+};
 use subsub_telemetry as telemetry;
 use subsub_telemetry::{EventKind, TraceSummary};
 
@@ -40,7 +42,7 @@ const REQUIRED_FAMILIES: &[(&str, &str)] = &[
     ("region", "fork-join region span"),
     ("region_fork", "region fork instant"),
     ("region_join", "region join instant"),
-    ("inspect", "inspector scan span"),
+    ("inspect", "verdict read span"),
     ("guard_decide", "guard decision span"),
     ("dispatch", "guarded dispatch span"),
     ("guard_verdict", "guard verdict instant"),
@@ -69,12 +71,12 @@ pub fn capture_trace(
     let armed = telemetry::arm();
     let harness = GuardedHarness::new(kernel.as_ref(), AlgorithmLevel::New);
     let mut inst = kernel.prepare(&dataset);
-    // Two invocations: the second exercises the inspector cache's hit
-    // path, so the trace shows both a miss+scan and a revalidation.
+    // Two invocations, so the trace shows a repeated decision on an
+    // unchanged instance.
     harness.run(inst.as_mut(), &pool, Schedule::static_default());
     inst.reset();
     harness.run(inst.as_mut(), &pool, Schedule::static_default());
-    synthetic_pooled_inspection(&pool);
+    synthetic_guarded_region(&pool);
     let events = armed.events();
     drop(armed);
 
@@ -99,29 +101,36 @@ pub fn capture_trace(
 }
 
 /// One guarded decision over a synthetic strictly-monotone index array
-/// large enough to push the inspector onto the thread pool
-/// (`PAR_THRESHOLD` elements engage the fork-join path), so every
-/// capture contains region/claim events regardless of which kernel was
+/// spanning two summary blocks, whose admitted variant opens a
+/// fork-join region on the pool, so every capture contains region,
+/// guard and verdict-read events regardless of which kernel was
 /// requested.
-fn synthetic_pooled_inspection(pool: &ThreadPool) {
-    let ramp: Vec<usize> = (0..PAR_THRESHOLD * 2).collect();
-    let view = IndexArrayView {
-        name: "synthetic-ramp",
-        data: &ramp,
-        version: 0,
-        required: MonotoneReq::Strict,
-    };
-    let executor = match GuardedExecutor::new(None) {
-        Ok(e) => e,
-        Err(_) => return, // unreachable: no check to compile
-    };
-    let decision =
-        executor.decide_recoverable("synthetic-ramp", &Bindings::new(), &[view], Some(pool));
+fn synthetic_guarded_region(pool: &ThreadPool) {
+    let ramp = ValidatedIndexArray::ingest(
+        "synthetic-ramp",
+        (0..2 * BLOCK_LEN).collect(),
+        2 * BLOCK_LEN,
+        Provenance::Generated { seed: 0 },
+    )
+    .expect("a ramp below its length is in domain");
+    let executor = GuardedExecutor::new(None).expect("no check to compile");
+    let decision = executor.decide_recoverable(
+        "synthetic-ramp",
+        &Bindings::new(),
+        &[ramp.view(MonotoneReq::Strict)],
+        Some(pool),
+    );
     let (_, _) = executor.execute_admitted(
         "synthetic-ramp",
         &decision,
-        &[("synthetic-ramp", 0)],
-        || Ok(()),
+        &[("synthetic-ramp", ramp.version())],
+        || {
+            let data = ramp.data();
+            pool.parallel_for(data.len(), Schedule::static_default(), |i| {
+                std::hint::black_box(data[i]);
+            });
+            Ok(())
+        },
         || {},
         || (),
     );
@@ -175,7 +184,7 @@ mod tests {
     #[test]
     fn analysis_serial_kernel_still_traces_fork_join_and_guard() {
         // IS never consults the guard or the pool on its own — the
-        // synthetic inspection must still produce region + guard spans.
+        // synthetic decision must still produce region + guard spans.
         let art = capture_trace("IS", None, 2).expect("capture should succeed");
         assert!(art.summary.has_name_prefix("region"));
         assert!(art.summary.has_name_prefix("guard_decide"));

@@ -476,7 +476,7 @@ mod tests {
 
     /// Analyzes a whole function and returns the decision for the loop at
     /// pre-order position `nth` under `level`.
-    fn decide(src: &str, nth: usize, level: AlgorithmLevel) -> LoopDecision {
+    fn decide_nth(src: &str, nth: usize, level: AlgorithmLevel) -> LoopDecision {
         let p = parse_program(src).unwrap();
         let f = lower_function(&p.funcs[0], &p.globals).unwrap();
         let env = RangeEnv::new();
@@ -511,7 +511,7 @@ mod tests {
     /// `-1 + num_rownnz <= irownnz_max`.
     #[test]
     fn amgmk_use_loop_parallel_under_new() {
-        let d = decide(AMGMK, 1, AlgorithmLevel::New);
+        let d = decide_nth(AMGMK, 1, AlgorithmLevel::New);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         let check = plan.runtime_check.as_ref().expect("runtime check");
         assert_eq!(check.to_string(), "num_rownnz - 1 <= irownnz_max");
@@ -523,8 +523,8 @@ mod tests {
     /// Classical analysis and the base algorithm keep the loop serial.
     #[test]
     fn amgmk_use_loop_serial_under_classic_and_base() {
-        assert!(!decide(AMGMK, 1, AlgorithmLevel::Classic).is_parallel());
-        assert!(!decide(AMGMK, 1, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(AMGMK, 1, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(AMGMK, 1, AlgorithmLevel::Base).is_parallel());
     }
 
     /// The fill loop itself stays serial at every level (carried scalar
@@ -536,14 +536,14 @@ mod tests {
             AlgorithmLevel::Base,
             AlgorithmLevel::New,
         ] {
-            assert!(!decide(AMGMK, 0, level).is_parallel());
+            assert!(!decide_nth(AMGMK, 0, level).is_parallel());
         }
     }
 
     /// The inner jj-loop is parallel even classically (reduction).
     #[test]
     fn amgmk_inner_loop_parallel_classically() {
-        let d = decide(AMGMK, 2, AlgorithmLevel::Classic);
+        let d = decide_nth(AMGMK, 2, AlgorithmLevel::Classic);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         assert!(plan.reductions.contains(&"+:tempx".to_string()));
     }
@@ -576,7 +576,7 @@ mod tests {
     /// with the check `-1 + n_cols <= holder_max`.
     #[test]
     fn sddmm_outer_parallel_under_new() {
-        let d = decide(SDDMM, 1, AlgorithmLevel::New);
+        let d = decide_nth(SDDMM, 1, AlgorithmLevel::New);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         assert_eq!(
             plan.runtime_check
@@ -589,15 +589,15 @@ mod tests {
 
     #[test]
     fn sddmm_outer_serial_under_classic_and_base() {
-        assert!(!decide(SDDMM, 1, AlgorithmLevel::Classic).is_parallel());
-        assert!(!decide(SDDMM, 1, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(SDDMM, 1, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(SDDMM, 1, AlgorithmLevel::Base).is_parallel());
     }
 
     /// The inner ind-loop is classically parallel (affine write p[ind],
     /// reduction sm).
     #[test]
     fn sddmm_inner_parallel_classically() {
-        let d = decide(SDDMM, 2, AlgorithmLevel::Classic);
+        let d = decide_nth(SDDMM, 2, AlgorithmLevel::Classic);
         assert!(d.is_parallel(), "{d}");
     }
 
@@ -622,10 +622,10 @@ mod tests {
     #[test]
     fn cholmod_use_loop_parallel_under_base_and_new() {
         for level in [AlgorithmLevel::Base, AlgorithmLevel::New] {
-            let d = decide(CHOLMOD, 1, level);
+            let d = decide_nth(CHOLMOD, 1, level);
             assert!(d.is_parallel(), "level {level}: {d}");
         }
-        assert!(!decide(CHOLMOD, 1, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(CHOLMOD, 1, AlgorithmLevel::Classic).is_parallel());
     }
 
     /// IS-style key histogram: the subscript array values come from input
@@ -646,7 +646,7 @@ mod tests {
             AlgorithmLevel::Base,
             AlgorithmLevel::New,
         ] {
-            assert!(!decide(IS, 0, level).is_parallel());
+            assert!(!decide_nth(IS, 0, level).is_parallel());
         }
     }
 
@@ -681,10 +681,10 @@ mod tests {
 
     #[test]
     fn ua_use_loop_parallel_under_new_only() {
-        let d = decide(UA, 3, AlgorithmLevel::New);
+        let d = decide_nth(UA, 3, AlgorithmLevel::New);
         assert!(d.is_parallel(), "{d}");
-        assert!(!decide(UA, 3, AlgorithmLevel::Base).is_parallel());
-        assert!(!decide(UA, 3, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(UA, 3, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(UA, 3, AlgorithmLevel::Classic).is_parallel());
     }
 
     /// CSR-of-CSR two-level gather: the scatter target is `row_start[act[i]]`
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn two_level_gather_parallel_under_new() {
-        let d = decide(CSROCSR, 2, AlgorithmLevel::New);
+        let d = decide_nth(CSROCSR, 2, AlgorithmLevel::New);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         let check = plan.runtime_check.as_ref().expect("runtime check");
         assert_eq!(check.to_string(), "num_act - 1 <= m_max");
@@ -732,8 +732,8 @@ mod tests {
     /// Base lacks LEMMA 1, so the composition is only provable under New.
     #[test]
     fn two_level_gather_serial_under_classic_and_base() {
-        assert!(!decide(CSROCSR, 2, AlgorithmLevel::Classic).is_parallel());
-        assert!(!decide(CSROCSR, 2, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(CSROCSR, 2, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(CSROCSR, 2, AlgorithmLevel::Base).is_parallel());
     }
 
     /// If the inner array of a composition has no injectivity property,
@@ -753,7 +753,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 1, AlgorithmLevel::New).is_parallel());
+        assert!(!decide_nth(src, 1, AlgorithmLevel::New).is_parallel());
     }
 
     /// Strided SRA fill (`p = p + 2`) proves `off` strided-monotone; the
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn strided_scatter_parallel_under_base_and_new() {
         for level in [AlgorithmLevel::Base, AlgorithmLevel::New] {
-            let d = decide(SSCATTER, 1, level);
+            let d = decide_nth(SSCATTER, 1, level);
             let plan = d.plan().unwrap_or_else(|| panic!("level {level}: {d}"));
             assert!(plan.runtime_check.is_none(), "{:?}", plan.runtime_check);
             assert!(
@@ -785,7 +785,7 @@ mod tests {
                 plan.properties_used
             );
         }
-        assert!(!decide(SSCATTER, 1, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(SSCATTER, 1, AlgorithmLevel::Classic).is_parallel());
     }
 
     /// Conditionally-monotone prefix sum: the step `gstep` has unknown
@@ -808,7 +808,7 @@ mod tests {
 
     #[test]
     fn guarded_prefix_parallel_under_new_with_guard_check() {
-        let d = decide(GPREFIX, 1, AlgorithmLevel::New);
+        let d = decide_nth(GPREFIX, 1, AlgorithmLevel::New);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         let check = plan.runtime_check.as_ref().expect("guard check");
         assert_eq!(check.to_string(), "1 <= gstep");
@@ -818,8 +818,8 @@ mod tests {
     /// Base keeps the loop serial.
     #[test]
     fn guarded_prefix_serial_under_classic_and_base() {
-        assert!(!decide(GPREFIX, 1, AlgorithmLevel::Classic).is_parallel());
-        assert!(!decide(GPREFIX, 1, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(GPREFIX, 1, AlgorithmLevel::Classic).is_parallel());
+        assert!(!decide_nth(GPREFIX, 1, AlgorithmLevel::Base).is_parallel());
     }
 
     /// Accesses through two *different* subscript arrays cannot be
@@ -842,7 +842,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 2, AlgorithmLevel::New).is_parallel());
+        assert!(!decide_nth(src, 2, AlgorithmLevel::New).is_parallel());
     }
 
     /// A constant offset between the write and the read through the same
@@ -861,7 +861,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 1, AlgorithmLevel::New).is_parallel());
+        assert!(!decide_nth(src, 1, AlgorithmLevel::New).is_parallel());
     }
 
     /// Non-strict monotonicity is NOT enough for the gather/scatter
@@ -883,7 +883,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 1, AlgorithmLevel::New).is_parallel());
+        assert!(!decide_nth(src, 1, AlgorithmLevel::New).is_parallel());
     }
 
     /// A segment loop whose inner trip count does NOT match `B[i+1]-B[i]`
@@ -904,7 +904,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 1, AlgorithmLevel::Base).is_parallel());
+        assert!(!decide_nth(src, 1, AlgorithmLevel::Base).is_parallel());
     }
 
     /// Two host arrays gathered through the same subscript array generate
@@ -929,7 +929,7 @@ mod tests {
                 }
             }
         "#;
-        let d = decide(src, 1, AlgorithmLevel::New);
+        let d = decide_nth(src, 1, AlgorithmLevel::New);
         let plan = d.plan().unwrap_or_else(|| panic!("expected parallel: {d}"));
         let check = plan.runtime_check.as_ref().expect("runtime check");
         assert_eq!(check.conjuncts().len(), 1, "dedup failed: {check}");
@@ -968,6 +968,6 @@ mod tests {
                 }
             }
         "#;
-        assert!(!decide(src, 0, AlgorithmLevel::New).is_parallel());
+        assert!(!decide_nth(src, 0, AlgorithmLevel::New).is_parallel());
     }
 }

@@ -117,7 +117,7 @@ struct AmgmkInstance {
     a: Csr,
     /// The subscript array behind the ingestion trust boundary: entries
     /// validated against `a.rows`, mutations tracked by version (for the
-    /// inspector cache) and checksum (for the out-of-band-writer gate).
+    /// guard's tamper gate) and checksum (for the out-of-band-writer gate).
     rownnz: ValidatedIndexArray,
     x: Vec<f64>,
     y: Vec<f64>,
@@ -229,8 +229,8 @@ impl KernelInstance for AmgmkInstance {
         }
         // Duplicate an entry: still sorted and in-domain, no longer
         // injective. Going through `mutate_range` keeps the array
-        // validated and bumps the version (so cached verdicts
-        // invalidate) at O(Δ) instead of a whole-array snapshot. The
+        // validated and refreshes its summaries and version (so the next
+        // decision denies it) at O(Δ) instead of a whole-array snapshot. The
         // serial variant just updates that row twice, deterministically.
         self.rownnz
             .mutate_range(0..2, |w| w[1] = w[0])

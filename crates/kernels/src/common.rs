@@ -98,7 +98,7 @@ pub trait KernelInstance: Send {
     }
 
     /// Corrupts one index array in a way that breaks its required
-    /// monotonicity, bumping its version so cached verdicts invalidate.
+    /// monotonicity through the trust boundary, bumping its version.
     /// Returns `false` when the kernel has nothing to tamper with. The
     /// serial variant must stay deterministic on the tampered instance.
     fn tamper_index_arrays(&mut self) -> bool {

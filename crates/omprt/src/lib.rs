@@ -21,7 +21,6 @@
 
 pub mod barrier;
 pub mod cancel;
-pub mod legacy;
 pub mod measure;
 pub mod pool;
 pub mod schedule;

@@ -24,8 +24,7 @@
 //!
 //! All waits are spin-then-park ([`crate::barrier`]): bounded spinning
 //! keeps back-to-back regions syscall-free, parking keeps an idle pool
-//! off the CPU. Measured fork-join latency versus the retained
-//! mutex/condvar design ([`crate::legacy`]) is reported by the
+//! off the CPU. Measured fork-join latency is reported by the
 //! `forkjoin_calibrate` binary and committed in `BENCH_forkjoin.json`.
 //!
 //! Because tids may execute on fewer OS threads than `threads()`, jobs

@@ -421,13 +421,12 @@ mod tests {
     #[test]
     fn calibration_parses_the_emitted_format() {
         let doc = r#"{
-  "schema": "subsub-forkjoin/v1",
+  "schema": "subsub-forkjoin/v2",
   "quick": false,
   "cal_threads": 4,
   "fork_join_ns": 1234.5,
   "dispatch_ns": 42.0,
-  "legacy_fork_join_ns": 4200.0,
-  "improvement": 3.4
+  "series": [{"threads":4,"ns":1234.5}]
 }"#;
         let c = MachineCalibration::parse_json(doc).expect("parses");
         assert_eq!(c.threads, 4);

@@ -58,7 +58,6 @@ use crate::srcgen::{check_frontend, FUZZ_BUDGET};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use subsub_kernels::kernel_by_name;
-use subsub_omprt::ThreadPool;
 use subsub_rtcheck::{parse_check, Bindings, CompiledCheck, EvalError};
 
 /// What a predicate entry expects the *compiled* evaluator to produce.
@@ -450,7 +449,7 @@ fn describe_compiled(r: &Result<bool, EvalError>) -> String {
 
 /// Replays one entry; returns human-readable failure descriptions
 /// (empty = clean).
-pub fn replay(entry: &CorpusEntry, pool: &ThreadPool) -> Vec<String> {
+pub fn replay(entry: &CorpusEntry) -> Vec<String> {
     match entry {
         CorpusEntry::Array {
             name,
@@ -465,7 +464,7 @@ pub fn replay(entry: &CorpusEntry, pool: &ThreadPool) -> Vec<String> {
                 domain: *domain,
                 expect_reject: *expect_reject,
             };
-            let mut out: Vec<String> = check_index_array(&g, pool)
+            let mut out: Vec<String> = check_index_array(&g)
                 .into_iter()
                 .map(|d: Divergence| format!("[{name}] {d}"))
                 .collect();
@@ -558,8 +557,8 @@ pub fn replay(entry: &CorpusEntry, pool: &ThreadPool) -> Vec<String> {
 }
 
 /// Replays every entry; returns all failures.
-pub fn replay_all(entries: &[CorpusEntry], pool: &ThreadPool) -> Vec<String> {
-    entries.iter().flat_map(|e| replay(e, pool)).collect()
+pub fn replay_all(entries: &[CorpusEntry]) -> Vec<String> {
+    entries.iter().flat_map(replay).collect()
 }
 
 #[cfg(test)]
@@ -610,39 +609,36 @@ mod tests {
         let entry = parse_one(
             "kind: array\nname: oob\nshape: out-of-domain\ndomain: 4\nexpect: accept\ndata: 9\n",
         );
-        let pool = ThreadPool::new(2);
-        let failures = replay(&entry, &pool);
+        let failures = replay(&entry);
         assert!(!failures.is_empty());
         assert!(failures[0].contains("[oob]"), "{failures:?}");
     }
 
     #[test]
     fn predicate_replay_checks_both_expectation_and_reference() {
-        let pool = ThreadPool::new(2);
         let clean = parse_one(
             "kind: predicate\nname: p\ncheck: a*b <= c\nbind: a=3037000500 b=3037000500 c=0\n\
              expect: overflow\n",
         );
-        assert!(replay(&clean, &pool).is_empty());
+        assert!(replay(&clean).is_empty());
         let flipped = parse_one(
             "kind: predicate\nname: p2\ncheck: a*b <= c\nbind: a=3037000500 b=3037000500 c=0\n\
              expect: true\n",
         );
-        assert!(!replay(&flipped, &pool).is_empty());
+        assert!(!replay(&flipped).is_empty());
     }
 
     #[test]
     fn reinspect_entries_parse_and_replay() {
-        let pool = ThreadPool::new(2);
         let clean = parse_one(
             "kind: reinspect\nname: r\ndomain: 10\ndata: 0 1 2 3\nmutations: 2=0 2=2 1=999\n",
         );
         assert!(matches!(clean, CorpusEntry::Reinspect { .. }));
-        assert!(replay(&clean, &pool).is_empty());
+        assert!(replay(&clean).is_empty());
         // A seed array ingestion rejects is a malformed case, not a
         // silent skip.
         let bad = parse_one("kind: reinspect\nname: r2\ndomain: 4\ndata: 0 9\nmutations: 0=1\n");
-        let failures = replay(&bad, &pool);
+        let failures = replay(&bad);
         assert!(!failures.is_empty());
         assert!(failures[0].contains("[r2]"), "{failures:?}");
     }
@@ -666,7 +662,6 @@ mod tests {
 
     #[test]
     fn source_entries_unescape_and_replay() {
-        let pool = ThreadPool::new(2);
         // A malformed source replays clean: typed rejection IS the
         // expected behaviour, only panics/instability are failures.
         let entry = parse_one("kind: source\nname: s\nsource: void f() {\\n    x = 1;\n");
@@ -676,10 +671,10 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
-        assert!(replay(&entry, &pool).is_empty());
+        assert!(replay(&entry).is_empty());
         // A well-formed source exercises the round-trip identity leg.
         let ok = parse_one("kind: source\nname: ok\nsource: void f() { x = 1; }\n");
-        assert!(replay(&ok, &pool).is_empty());
+        assert!(replay(&ok).is_empty());
     }
 
     #[test]
@@ -708,25 +703,23 @@ mod tests {
 
     #[test]
     fn composed_entries_parse_and_replay() {
-        let pool = ThreadPool::new(2);
         let clean =
             parse_one("kind: composed\nname: c\ndomain: 10\nouter: 0 2 4 6\ninner: 0 1 2 3\n");
         assert!(matches!(clean, CorpusEntry::Composed { .. }));
-        assert!(replay(&clean, &pool).is_empty());
+        assert!(replay(&clean).is_empty());
         // An inner entry past the outer's length breaks the chain at
         // ingestion; the replay reports it instead of indexing OOB.
         let bad = parse_one("kind: composed\nname: c2\ndomain: 10\nouter: 0 2\ninner: 5\n");
-        let failures = replay(&bad, &pool);
+        let failures = replay(&bad);
         assert!(!failures.is_empty());
         assert!(failures[0].contains("[c2]"), "{failures:?}");
     }
 
     #[test]
     fn post_max_binds_round_trip() {
-        let pool = ThreadPool::new(2);
         let entry = parse_one(
             "kind: predicate\nname: pm\ncheck: n - 1 <= m_max\nbind: n=10 m_max=9\nexpect: true\n",
         );
-        assert!(replay(&entry, &pool).is_empty());
+        assert!(replay(&entry).is_empty());
     }
 }

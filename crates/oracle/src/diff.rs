@@ -1,9 +1,10 @@
 //! The differential checks: each cross-examines one leg of the trust
 //! boundary against an independent ground truth.
 //!
-//! * [`check_index_array`] — inspector verdicts (serial scan and pooled
-//!   chunked scan) against the definitional brute-force scan, plus the
-//!   ingestion accept/reject expectation.
+//! * [`check_index_array`] — inspector verdicts (the serial reference
+//!   scan and the block-summary verdict production uses) against the
+//!   definitional brute-force scan, plus the ingestion accept/reject
+//!   expectation.
 //! * [`check_predicate`] — the compiled `i64` predicate against the
 //!   checked-`i128` reference evaluator, under the conservative-deny
 //!   trust rule ([`crate::refeval::compare`]).
@@ -26,9 +27,9 @@ use subsub_kernels::common::close;
 use subsub_kernels::Kernel;
 use subsub_omprt::{Schedule, ThreadPool};
 use subsub_rtcheck::{
-    composed_verdict, inspect_block_monotone, inspect_monotone, inspect_serial, Bindings,
-    BlockSummaries, CheckExpr, CompiledCheck, EvalError, GuardPath, GuardedExecutor,
-    MonotoneVerdict, Provenance, ValidatedIndexArray, BLOCK_LEN,
+    composed_verdict, inspect_block_monotone, inspect_serial, Bindings, BlockSummaries, CheckExpr,
+    CompiledCheck, EvalError, GuardPath, GuardedExecutor, MonotoneVerdict, Provenance,
+    ValidatedIndexArray, BLOCK_LEN,
 };
 use subsub_sparse::Rng64;
 
@@ -36,8 +37,8 @@ use subsub_sparse::Rng64;
 /// carries enough to reproduce the failure without the campaign state.
 #[derive(Debug, Clone)]
 pub enum Divergence {
-    /// The serial or pooled inspector disagrees with the brute-force
-    /// definition of monotonicity (or with each other).
+    /// The serial scan or the block-summary verdict disagrees with the
+    /// brute-force definition of monotonicity (or with each other).
     InspectorMismatch {
         /// Shape label (or corpus id) of the offending array.
         label: String,
@@ -47,8 +48,8 @@ pub enum Divergence {
         expected: (bool, bool),
         /// The serial inspector's verdict.
         serial: MonotoneVerdict,
-        /// The pooled inspector's verdict.
-        pooled: MonotoneVerdict,
+        /// The block-summary verdict.
+        summary: MonotoneVerdict,
     },
     /// Ingestion accepted an array it must reject, or vice versa.
     IngestionMismatch {
@@ -154,12 +155,12 @@ impl fmt::Display for Divergence {
                 data,
                 expected,
                 serial,
-                pooled,
+                summary,
             } => write!(
                 f,
                 "inspector mismatch [{label}] on {data:?}: brute force (nonstrict, strict) = \
-                 {expected:?}, serial = ({}, {}), pooled = ({}, {})",
-                serial.nonstrict, serial.strict, pooled.nonstrict, pooled.strict
+                 {expected:?}, serial = ({}, {}), summary = ({}, {})",
+                serial.nonstrict, serial.strict, summary.nonstrict, summary.strict
             ),
             Divergence::IngestionMismatch {
                 label,
@@ -222,24 +223,24 @@ impl fmt::Display for Divergence {
 
 /// Cross-checks the inspectors against brute force on one array, and
 /// ingestion against the array's accept/reject expectation.
-pub fn check_index_array(g: &GeneratedArray, pool: &ThreadPool) -> Vec<Divergence> {
+pub fn check_index_array(g: &GeneratedArray) -> Vec<Divergence> {
     let mut out = Vec::new();
     let expected = brute_force_monotone(&g.data);
     let serial = inspect_serial(&g.data);
-    let pooled = inspect_monotone(&g.data, Some(pool));
+    let summary = BlockSummaries::build_unchecked(&g.data).verdict();
     let serial_pair = (serial.nonstrict, serial.strict);
-    let pooled_pair = (pooled.nonstrict, pooled.strict);
-    if serial_pair != expected || pooled_pair != expected {
+    let summary_pair = (summary.nonstrict, summary.strict);
+    if serial_pair != expected || summary_pair != expected {
         out.push(Divergence::InspectorMismatch {
             label: g.shape.to_string(),
             data: g.data.clone(),
             expected,
             serial,
-            pooled,
+            summary,
         });
     }
     // A reported violation index must point at a real violating pair.
-    for (v, which) in [(&serial, "serial"), (&pooled, "pooled")] {
+    for (v, which) in [(&serial, "serial"), (&summary, "summary")] {
         if let Some(i) = v.first_violation {
             let real = i > 0 && i < g.data.len() && g.data[i - 1] > g.data[i];
             if !real {
@@ -248,7 +249,7 @@ pub fn check_index_array(g: &GeneratedArray, pool: &ThreadPool) -> Vec<Divergenc
                     data: g.data.clone(),
                     expected,
                     serial,
-                    pooled,
+                    summary,
                 });
             }
         }
@@ -580,7 +581,7 @@ pub fn check_kernel(kernel: &dyn Kernel, seed: u64) -> Vec<Divergence> {
     let versions: Vec<(String, u64)> = inst
         .index_arrays()
         .iter()
-        .map(|v| (v.name.to_string(), v.version))
+        .map(|v| (v.name.to_string(), v.version()))
         .collect();
     let versions_ref: Vec<(&str, u64)> = versions.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     let cell = std::cell::RefCell::new(inst.as_mut());
@@ -663,10 +664,6 @@ mod tests {
     use crate::gen::ArrayShape;
     use subsub_kernels::kernel_by_name;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(3)
-    }
-
     #[test]
     fn clean_arrays_have_no_divergence() {
         let g = GeneratedArray {
@@ -675,7 +672,7 @@ mod tests {
             domain: 100,
             expect_reject: false,
         };
-        assert!(check_index_array(&g, &pool()).is_empty());
+        assert!(check_index_array(&g).is_empty());
     }
 
     #[test]
@@ -688,7 +685,7 @@ mod tests {
             domain: 10,
             expect_reject: false,
         };
-        let d = check_index_array(&g, &pool());
+        let d = check_index_array(&g);
         assert!(matches!(d[0], Divergence::IngestionMismatch { .. }));
     }
 

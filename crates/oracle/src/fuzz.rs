@@ -16,8 +16,7 @@ use crate::shrink::shrink_array;
 use crate::srcgen::{check_frontend, gen_source_case, FUZZ_BUDGET};
 use std::fmt;
 use subsub_kernels::all_kernels;
-use subsub_omprt::ThreadPool;
-use subsub_rtcheck::{inspect_monotone, inspect_serial};
+use subsub_rtcheck::{inspect_serial, BlockSummaries};
 use subsub_sparse::Rng64;
 
 /// Knobs for one campaign.
@@ -103,17 +102,18 @@ impl fmt::Display for FuzzReport {
     }
 }
 
-/// True when either inspector disagrees with the brute-force scan —
-/// the shrink predicate for inspector divergences.
-fn inspector_diverges(data: &[usize], pool: &ThreadPool) -> bool {
+/// True when either the serial scan or the block-summary verdict
+/// disagrees with the brute-force scan — the shrink predicate for
+/// inspector divergences.
+fn inspector_diverges(data: &[usize]) -> bool {
     let expected = brute_force_monotone(data);
     let s = inspect_serial(data);
-    let p = inspect_monotone(data, Some(pool));
-    (s.nonstrict, s.strict) != expected || (p.nonstrict, p.strict) != expected
+    let b = BlockSummaries::build_unchecked(data).verdict();
+    (s.nonstrict, s.strict) != expected || (b.nonstrict, b.strict) != expected
 }
 
-/// Runs one campaign under `cfg` on `pool`.
-pub fn run_campaign(cfg: &FuzzConfig, pool: &ThreadPool) -> FuzzReport {
+/// Runs one campaign under `cfg`.
+pub fn run_campaign(cfg: &FuzzConfig) -> FuzzReport {
     let mut rng = Rng64::seed_from_u64(cfg.seed);
     let mut report = FuzzReport {
         seed: cfg.seed,
@@ -131,20 +131,20 @@ pub fn run_campaign(cfg: &FuzzConfig, pool: &ThreadPool) -> FuzzReport {
         for _ in 0..cfg.arrays_per_shape {
             let g = gen_array(&mut rng, shape);
             report.array_cases += 1;
-            for d in check_index_array(&g, pool) {
+            for d in check_index_array(&g) {
                 report.divergences.push(match d {
                     Divergence::InspectorMismatch { label, data, .. }
-                        if inspector_diverges(&data, pool) =>
+                        if inspector_diverges(&data) =>
                     {
-                        let minimal = shrink_array(&data, |c| inspector_diverges(c, pool));
+                        let minimal = shrink_array(&data, inspector_diverges);
                         let serial = inspect_serial(&minimal);
-                        let pooled = inspect_monotone(&minimal, Some(pool));
+                        let summary = BlockSummaries::build_unchecked(&minimal).verdict();
                         Divergence::InspectorMismatch {
                             label: format!("{label} (shrunk from {} elems)", data.len()),
                             expected: brute_force_monotone(&minimal),
                             data: minimal,
                             serial,
-                            pooled,
+                            summary,
                         }
                     }
                     other => other,
@@ -227,10 +227,6 @@ pub fn run_campaign(cfg: &FuzzConfig, pool: &ThreadPool) -> FuzzReport {
 mod tests {
     use super::*;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(3)
-    }
-
     #[test]
     fn pinned_seed_campaign_is_clean() {
         let cfg = FuzzConfig {
@@ -240,7 +236,7 @@ mod tests {
             sources: 16,
             kernels: false,
         };
-        let report = run_campaign(&cfg, &pool());
+        let report = run_campaign(&cfg);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.array_cases, 3 * ALL_SHAPES.len());
         assert_eq!(report.predicate_cases, 60);
@@ -261,9 +257,8 @@ mod tests {
             sources: 8,
             kernels: false,
         };
-        let p = pool();
-        let a = run_campaign(&cfg, &p);
-        let b = run_campaign(&cfg, &p);
+        let a = run_campaign(&cfg);
+        let b = run_campaign(&cfg);
         assert_eq!(a.array_cases, b.array_cases);
         assert_eq!(a.reinspect_cases, b.reinspect_cases);
         assert_eq!(a.composed_cases, b.composed_cases);

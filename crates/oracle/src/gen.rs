@@ -8,7 +8,7 @@
 //! out-of-domain subscripts, and scalar bindings at the `i64` edges
 //! where wrapping arithmetic flips comparisons.
 
-use subsub_rtcheck::{parse_check, Bindings, CheckExpr, PAR_THRESHOLD};
+use subsub_rtcheck::{parse_check, Bindings, CheckExpr, BLOCK_LEN};
 use subsub_sparse::Rng64;
 use subsub_symbolic::Symbol;
 
@@ -111,8 +111,8 @@ pub struct GeneratedArray {
 pub fn gen_array(rng: &mut Rng64, shape: ArrayShape) -> GeneratedArray {
     // Rng64 ranges are inclusive `[lo, hi]`.
     let small_len = rng.gen_usize(2, 64);
-    // Long enough that the pooled inspector actually goes parallel.
-    let long_len = PAR_THRESHOLD + rng.gen_usize(0, PAR_THRESHOLD);
+    // Long enough to span several summary blocks.
+    let long_len = 2 * BLOCK_LEN + rng.gen_usize(0, 2 * BLOCK_LEN);
     let (data, domain, expect_reject) = match shape {
         ArrayShape::Empty => (Vec::new(), rng.gen_usize(0, 100), false),
         ArrayShape::Single => {
@@ -407,7 +407,7 @@ mod tests {
                     ArrayShape::StrictRamp => assert!(strict),
                     ArrayShape::AlmostMonotone => assert!(!nonstrict),
                     ArrayShape::DuplicateAtBoundary => {
-                        assert!(g.data.len() >= PAR_THRESHOLD);
+                        assert!(g.data.len() >= 2 * BLOCK_LEN);
                         assert!(nonstrict && !strict);
                     }
                     ArrayShape::StridedRamp => {

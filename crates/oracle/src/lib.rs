@@ -10,7 +10,7 @@
 //! | checked artifact | ground truth |
 //! |---|---|
 //! | ingestion accept/reject ([`ValidatedIndexArray`]) | the generator's domain bookkeeping |
-//! | `inspect_serial` / pooled `inspect_monotone` | definitional brute-force scan |
+//! | `inspect_serial` / block-summary verdict (`BlockSummaries::verdict`) | definitional brute-force scan |
 //! | [`CompiledCheck`](subsub_rtcheck::CompiledCheck) (`i64`, checked) | checked-`i128` interpreter over canonical forms |
 //! | guarded parallel kernel output | serial golden run |
 //! | incremental re-inspection (`mutate_range` + block summaries) | from-scratch summary rebuild + `inspect_serial` |

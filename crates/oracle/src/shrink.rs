@@ -1,8 +1,8 @@
 //! Delta-debugging minimizer for failing index arrays.
 //!
 //! When the campaign finds an array that diverges, the raw reproducer is
-//! often thousands of elements (the parallel inspector only engages at
-//! [`PAR_THRESHOLD`](subsub_rtcheck::PAR_THRESHOLD)). Before an entry is
+//! often thousands of elements (the long shapes span several
+//! [`BLOCK_LEN`](subsub_rtcheck::BLOCK_LEN) summary blocks). Before an entry is
 //! recorded — in a report or the regression corpus — we shrink it with a
 //! ddmin-style loop: remove chunks, then single elements, then halve the
 //! surviving values, keeping every transformation that still fails the

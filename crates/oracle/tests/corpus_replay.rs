@@ -3,7 +3,6 @@
 //! adversarial case regressed.
 
 use std::path::Path;
-use subsub_omprt::ThreadPool;
 use subsub_oracle::corpus::{load_dir, replay, CorpusEntry};
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -38,10 +37,9 @@ fn corpus_is_nonempty_and_well_formed() {
 #[test]
 fn every_corpus_entry_replays_clean() {
     let entries = load_dir(&corpus_dir()).expect("corpus loads");
-    let pool = ThreadPool::new(3);
     let mut failures = Vec::new();
     for entry in &entries {
-        failures.extend(replay(entry, &pool));
+        failures.extend(replay(entry));
     }
     assert!(
         failures.is_empty(),
@@ -52,7 +50,7 @@ fn every_corpus_entry_replays_clean() {
 }
 
 #[test]
-fn long_boundary_entry_actually_exercises_the_parallel_scan() {
+fn long_boundary_entry_spans_several_summary_blocks() {
     let entries = load_dir(&corpus_dir()).expect("corpus loads");
     let long = entries.iter().find_map(|e| match e {
         CorpusEntry::Array { name, data, .. } if name == "duplicate-at-chunk-join-long" => {
@@ -62,9 +60,9 @@ fn long_boundary_entry_actually_exercises_the_parallel_scan() {
     });
     let data = long.expect("the long chunk-join entry is committed");
     assert!(
-        data.len() >= subsub_rtcheck::PAR_THRESHOLD,
-        "entry must be long enough for the pooled inspector to split ({} < {})",
+        data.len() >= 2 * subsub_rtcheck::BLOCK_LEN,
+        "entry must span several summary blocks ({} < {})",
         data.len(),
-        subsub_rtcheck::PAR_THRESHOLD
+        2 * subsub_rtcheck::BLOCK_LEN
     );
 }

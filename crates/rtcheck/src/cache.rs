@@ -1,38 +1,24 @@
-//! Memoization of inspector verdicts.
+//! The bounded verdict map under every verdict cache.
 //!
-//! Inspecting an index array is O(n); re-inspecting it on every kernel
-//! invocation would erase the paper's point that the check amortizes.
-//! The cache keys a verdict on the array's *identity* (name + data
-//! address + length) and its *write-version*: the owning kernel bumps the
-//! version whenever it mutates the array, so a lookup with a stale
-//! version misses (recorded as an invalidation) and triggers
-//! re-inspection, while an unchanged array revalidates in O(1).
+//! Production's one verdict cache is the service's content-keyed,
+//! sharded, single-flight cache; each of its shards holds one
+//! [`VerdictCache`] behind its own lock.
 
-use crate::inspect::{
-    inspect_serial, try_inspect_monotone, IndexArrayView, MonotoneReq, MonotoneVerdict,
-};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use subsub_failpoint::{self as failpoint, Action};
-use subsub_omprt::{RegionError, ThreadPool};
-use subsub_telemetry as telemetry;
-use subsub_telemetry::{EventKind, Phase};
 
 /// A bounded verdict memo with least-recently-used-ish eviction.
 ///
-/// The original inspector memo grew without bound: every distinct array
-/// identity (or, at service scale, every distinct array *content*) held
-/// its entry forever. `VerdictCache` caps the entry count explicitly;
+/// Every distinct array *content* would otherwise hold its entry
+/// forever. `VerdictCache` caps the entry count explicitly;
 /// when an insert would exceed the capacity, the entry with the oldest
 /// recency stamp is evicted (a linear min-scan — exact LRU order is not
 /// worth a linked list at the capacities the runtime uses, and the scan
 /// only runs on inserts into a full cache).
 ///
-/// The type is deliberately not internally synchronized: the inspector
-/// memo wraps it in a `Mutex`, and the service's sharded cache wraps one
-/// per shard — locking granularity is the caller's concern.
+/// The type is deliberately not internally synchronized: the service's
+/// sharded cache wraps one per shard — locking granularity is the
+/// caller's concern.
 #[derive(Debug)]
 pub struct VerdictCache<K, V> {
     cap: usize,
@@ -122,327 +108,9 @@ impl<K: Eq + Hash + Clone, V> VerdictCache<K, V> {
     }
 }
 
-/// Entries the inspector memo holds before evicting; far above what the
-/// kernel registry needs, low enough that a service sweeping arbitrary
-/// arrays through one executor cannot grow the memo without bound.
-pub const MEMO_CAPACITY: usize = 1024;
-
-/// Cache identity of one index array.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    name: String,
-    addr: usize,
-    len: usize,
-}
-
-impl Key {
-    fn of(view: &IndexArrayView<'_>) -> Key {
-        Key {
-            name: view.name.to_string(),
-            addr: view.data.as_ptr() as usize,
-            len: view.data.len(),
-        }
-    }
-}
-
-/// Counters describing how the cache behaved so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered without re-inspection.
-    pub hits: u64,
-    /// Lookups that had no usable entry and ran the inspector.
-    pub misses: u64,
-    /// Misses caused specifically by a version change on a known array.
-    pub invalidations: u64,
-    /// Entries evicted under capacity pressure.
-    pub evictions: u64,
-}
-
-/// Verdict memo keyed by (array identity, version), bounded at
-/// [`MEMO_CAPACITY`] entries with LRU-ish eviction.
-#[derive(Debug)]
-pub struct InspectorCache {
-    entries: Mutex<VerdictCache<Key, (u64, MonotoneVerdict)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl Default for InspectorCache {
-    fn default() -> InspectorCache {
-        InspectorCache::new()
-    }
-}
-
-impl InspectorCache {
-    /// Empty cache with the default [`MEMO_CAPACITY`] bound.
-    pub fn new() -> InspectorCache {
-        InspectorCache::bounded(MEMO_CAPACITY)
-    }
-
-    /// Empty cache holding at most `cap` verdicts.
-    pub fn bounded(cap: usize) -> InspectorCache {
-        InspectorCache {
-            entries: Mutex::new(VerdictCache::with_capacity(cap)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the verdict for `view`, inspecting only when no entry with
-    /// the current version exists. A version mismatch on a known array is
-    /// counted as an invalidation and the entry is replaced. A faulted
-    /// parallel inspection degrades to the serial scan (see
-    /// [`InspectorCache::try_verdict`] to observe the fault instead).
-    pub fn verdict(&self, view: &IndexArrayView<'_>, pool: Option<&ThreadPool>) -> MonotoneVerdict {
-        match self.try_verdict(view, pool) {
-            Ok(v) => v,
-            Err(_) => self.verdict_serial(view),
-        }
-    }
-
-    /// [`InspectorCache::verdict`] that reports a faulted inspection as
-    /// an error instead of rescuing it. **A fault never records a
-    /// verdict**: an inspection that panicked or lost a worker produced
-    /// no trustworthy result, and memoizing one would poison every later
-    /// lookup at this version (hits bypass re-inspection by design).
-    pub fn try_verdict(
-        &self,
-        view: &IndexArrayView<'_>,
-        pool: Option<&ThreadPool>,
-    ) -> Result<MonotoneVerdict, RegionError> {
-        let key = Key::of(view);
-        let _lookup_span = telemetry::span_labeled(Phase::CacheLookup, view.name);
-        {
-            let mut entries = lock(&self.entries);
-            match entries.get(&key) {
-                Some((ver, verdict)) if *ver == view.version => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheHit,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                    return Ok(*verdict);
-                }
-                Some(_) => {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheInvalidate,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                }
-                None => {}
-            }
-        }
-        // Inspect outside the lock: scans can be long and parallel. The
-        // `?` is the poisoning fix: no insert on a faulted scan.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
-        let verdict = {
-            let _inspect_span = telemetry::span_labeled(Phase::Inspect, view.name);
-            try_inspect_monotone(view.data, pool)?
-        };
-        self.insert(key, view.version, verdict);
-        Ok(verdict)
-    }
-
-    /// Returns the verdict for an array living behind the ingestion
-    /// trust boundary, serving a miss from the array's block summaries
-    /// in O(blocks) instead of rescanning O(n) elements.
-    ///
-    /// Soundness: the boundary rebuilds or rescans the summaries
-    /// atomically with every write-version bump, so at any version the
-    /// summaries describe exactly the contents the version names — the
-    /// dirty-window bookkeeping of `mutate_range` guarantees untouched
-    /// blocks' summaries are still current. Callers defending against
-    /// *bypassing* writers (who change neither version nor summaries)
-    /// must pair this with [`ValidatedIndexArray::verify`], which
-    /// recomputes from raw data — exactly what the guard does before
-    /// decide/dispatch.
-    ///
-    /// [`ValidatedIndexArray::verify`]: crate::ValidatedIndexArray::verify
-    pub fn verdict_ingested(
-        &self,
-        array: &crate::ValidatedIndexArray,
-        required: MonotoneReq,
-    ) -> MonotoneVerdict {
-        let view = array.view(required);
-        let key = Key::of(&view);
-        let _lookup_span = telemetry::span_labeled(Phase::CacheLookup, view.name);
-        {
-            let mut entries = lock(&self.entries);
-            match entries.get(&key) {
-                Some((ver, verdict)) if *ver == view.version => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheHit,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                    return *verdict;
-                }
-                Some(_) => {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheInvalidate,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                }
-                None => {}
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
-        let verdict = {
-            let _reinspect_span = telemetry::span_labeled(Phase::Reinspect, view.name);
-            array.summary_verdict()
-        };
-        self.insert(key, view.version, verdict);
-        verdict
-    }
-
-    /// Inspects `view` with the infallible serial scan and memoizes the
-    /// result — the final rung of the guard's retry ladder.
-    pub fn verdict_serial(&self, view: &IndexArrayView<'_>) -> MonotoneVerdict {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
-        let verdict = {
-            let _inspect_span = telemetry::span_labeled(Phase::Inspect, view.name);
-            inspect_serial(view.data)
-        };
-        self.insert(Key::of(view), view.version, verdict);
-        verdict
-    }
-
-    fn insert(&self, key: Key, version: u64, verdict: MonotoneVerdict) {
-        match failpoint::hit("rtcheck.cache.insert") {
-            Action::Proceed => {
-                self.insert_noting_eviction(key, (version, verdict));
-            }
-            // Injected insert fault: skip memoization. The verdict
-            // already computed stays valid; later lookups just re-inspect.
-            Action::Error => {}
-            // Injected memo corruption is modelled in the conservative
-            // direction only: the stored verdict denies everything, so a
-            // corrupted cache can cost performance (spurious serial
-            // fallbacks) but never admit an unsound parallel run.
-            Action::Corrupt => {
-                let deny = MonotoneVerdict {
-                    nonstrict: false,
-                    strict: false,
-                    first_violation: None,
-                    len: verdict.len,
-                };
-                self.insert_noting_eviction(key, (version, deny));
-            }
-        }
-    }
-
-    fn insert_noting_eviction(&self, key: Key, entry: (u64, MonotoneVerdict)) {
-        let evicted = lock(&self.entries).insert(key, entry);
-        if let Some(victim) = evicted {
-            telemetry::instant_labeled(
-                EventKind::CacheEvict,
-                Phase::CacheLookup,
-                &victim.name,
-                victim.len as u64,
-            );
-        }
-    }
-
-    /// Drops every memoized verdict (counters are kept).
-    pub fn clear(&self) {
-        lock(&self.entries).clear();
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: lock(&self.entries).evictions(),
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inspect::MonotoneReq;
-
-    fn view<'a>(name: &'a str, data: &'a [usize], version: u64) -> IndexArrayView<'a> {
-        IndexArrayView {
-            name,
-            data,
-            version,
-            required: MonotoneReq::NonStrict,
-        }
-    }
-
-    #[test]
-    fn second_lookup_hits() {
-        let cache = InspectorCache::new();
-        let data = vec![0usize, 1, 2, 3];
-        let v1 = cache.verdict(&view("b", &data, 0), None);
-        let v2 = cache.verdict(&view("b", &data, 0), None);
-        assert_eq!(v1, v2);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 0));
-    }
-
-    #[test]
-    fn version_bump_invalidates() {
-        let cache = InspectorCache::new();
-        let mut data = vec![0usize, 1, 2, 3];
-        assert!(cache.verdict(&view("b", &data, 0), None).nonstrict);
-        // Mutate in place (address and length unchanged) and bump version.
-        data[2] = 0;
-        let v = cache.verdict(&view("b", &data, 1), None);
-        assert!(!v.nonstrict);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 1));
-        // The replaced entry now serves the new version.
-        assert!(!cache.verdict(&view("b", &data, 1), None).nonstrict);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn distinct_arrays_do_not_collide() {
-        let cache = InspectorCache::new();
-        let good = vec![0usize, 1, 2];
-        let bad = vec![2usize, 1, 0];
-        assert!(cache.verdict(&view("g", &good, 0), None).nonstrict);
-        assert!(!cache.verdict(&view("b", &bad, 0), None).nonstrict);
-        assert_eq!(cache.stats().misses, 2);
-    }
 
     #[test]
     fn verdict_cache_evicts_stalest_under_pressure() {
@@ -470,39 +138,5 @@ mod tests {
         assert!(c.insert(1, 10).is_none());
         assert_eq!(c.insert(2, 20), Some(1));
         assert_eq!((c.len(), c.get(&2)), (1, Some(&20)));
-    }
-
-    #[test]
-    fn inspector_memo_evicts_under_pressure_and_reinspects() {
-        // A 2-entry memo driven with 3 distinct arrays: the stalest entry
-        // is evicted, and looking it up again is a miss (re-inspection),
-        // not a stale answer.
-        let cache = InspectorCache::bounded(2);
-        let a = vec![0usize, 1, 2];
-        let b = vec![0usize, 2, 4];
-        let c = vec![5usize, 6, 7];
-        cache.verdict(&view("a", &a, 0), None);
-        cache.verdict(&view("b", &b, 0), None);
-        cache.verdict(&view("c", &c, 0), None); // evicts "a"
-        let s = cache.stats();
-        assert_eq!((s.misses, s.evictions), (3, 1));
-        // "a" was evicted: this lookup must re-inspect, not hit.
-        cache.verdict(&view("a", &a, 0), None);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 4));
-        // "c" is still resident and hits.
-        cache.verdict(&view("c", &c, 0), None);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn clear_forgets_entries_but_keeps_counters() {
-        let cache = InspectorCache::new();
-        let data = vec![0usize, 1];
-        cache.verdict(&view("b", &data, 0), None);
-        cache.clear();
-        cache.verdict(&view("b", &data, 0), None);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 2));
     }
 }

@@ -3,41 +3,43 @@
 //! machinery itself faults.
 //!
 //! A [`GuardedExecutor`] bundles the compiled scalar check emitted by the
-//! dependence test with the inspector cache and a per-kernel
-//! [`CircuitBreaker`]. Per invocation it walks a fixed degradation
-//! ladder:
+//! dependence test with a [`VerdictSource`] and a per-kernel
+//! [`CircuitBreaker`]. [`GuardedExecutor::decide_recoverable`] is the one
+//! route from index arrays to a [`Decision`]; it walks a fixed ladder:
 //!
 //! 1. **breaker** — a kernel with too many recent parallel-path faults
 //!    is pinned to serial for a cooldown ([`ExecError::BreakerOpen`]);
 //! 2. **scalar check** — evaluated against the kernel's [`Bindings`];
 //!    false or unevaluable denies ([`ExecError::CheckFailed`] /
 //!    [`ExecError::CheckUnevaluable`]);
-//! 3. **inspection** — each declared index array against its required
-//!    monotonicity, served from the cache when unchanged. A *faulted*
-//!    inspection (worker died, injected panic) is retried once, then
-//!    rescued by the infallible serial scan — only a genuine
-//!    [`ExecError::NotMonotone`] verdict denies;
-//! 4. **tamper gate** — at dispatch, any index array whose write-version
-//!    moved since its inspection denies ([`ExecError::TamperDetected`]);
+//! 3. **per index array** — the source verifies the array against its
+//!    last validated state (a bypassing writer denies with
+//!    [`ExecError::InvalidIndexArray`] before any verdict is read), then
+//!    serves its verdict; a verdict that does not satisfy the array's
+//!    requirement denies with [`ExecError::NotMonotone`].
+//!
+//! [`GuardedExecutor::execute_admitted`] then runs the decision:
+//!
+//! 4. **tamper gate** — any index array whose write-version moved since
+//!    the decision denies ([`ExecError::TamperDetected`]);
 //! 5. **parallel attempt** — a faulting parallel variant gets one retry
 //!    after the caller's `recover` hook (transient faults only), then
 //!    the invocation finishes on the recovered serial path
 //!    ([`ExecError::ParallelFault`]), feeding the breaker.
 //!
 //! Every decision and recovery action is counted in [`GuardStats`], so a
-//! harness can assert that both paths were actually taken, that
-//! memoization worked, and that the breaker tripped when it should.
+//! harness can assert that both paths were actually taken and that the
+//! breaker tripped when it should.
 
 use crate::bindings::Bindings;
 use crate::breaker::{BreakerState, CircuitBreaker};
-use crate::cache::{CacheStats, InspectorCache};
 use crate::compile::{CompileError, CompiledCheck};
 use crate::error::ExecError;
 use crate::expr::CheckExpr;
-use crate::inspect::{IndexArrayView, MonotoneReq, MonotoneVerdict};
-use crate::validate::ValidatedIndexArray;
+use crate::inspect::MonotoneVerdict;
+use crate::validate::{IndexArrayView, ValidatedIndexArray, ValidationError};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use subsub_failpoint::{self as failpoint, Action};
 use subsub_omprt::{CancelToken, ThreadPool};
 use subsub_telemetry as telemetry;
@@ -92,17 +94,80 @@ impl GuardVerdict {
     }
 }
 
+/// How a verdict cache answered one lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Served from a live entry this process computed.
+    Hit,
+    /// Served from a warm-started (snapshot-loaded) entry.
+    WarmHit,
+    /// Waited for a concurrent leader's in-flight computation.
+    Coalesced,
+    /// This lookup computed the verdict.
+    Miss,
+}
+
+/// Where one array's verdict came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictOrigin {
+    /// Read off the array's block summaries by this decision.
+    Summary,
+    /// Answered by a verdict cache.
+    Cache(Lookup),
+}
+
+/// The one place a [`GuardedExecutor`] gets an index array's verdict.
+pub trait VerdictSource: fmt::Debug + Send + Sync {
+    /// Vouches for `array` and returns its monotonicity verdict. An array
+    /// that fails verification is an error, never a verdict.
+    fn verdict(
+        &self,
+        array: &ValidatedIndexArray,
+    ) -> Result<(MonotoneVerdict, VerdictOrigin), ValidationError>;
+}
+
+/// The default [`VerdictSource`]: [`ValidatedIndexArray::verify`] from
+/// the raw bytes (Θ(n)), then
+/// [`ValidatedIndexArray::summary_verdict`] off the block summaries
+/// (Θ(n / [`crate::BLOCK_LEN`])). The passing `verify()` proves the
+/// contents are the last validated state, which is exactly the state the
+/// summaries describe.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SummarySource;
+
+impl VerdictSource for SummarySource {
+    fn verdict(
+        &self,
+        array: &ValidatedIndexArray,
+    ) -> Result<(MonotoneVerdict, VerdictOrigin), ValidationError> {
+        array.verify()?;
+        let _inspect_span = telemetry::span_labeled(Phase::Inspect, array.name());
+        Ok((array.summary_verdict(), VerdictOrigin::Summary))
+    }
+}
+
+/// One index array a decision consulted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Inspected {
+    /// The array's name.
+    pub array: String,
+    /// Its write-version at decision time (the tamper gate's baseline).
+    pub version: u64,
+    /// Where its verdict came from.
+    pub origin: VerdictOrigin,
+}
+
 /// A phase-1 decision ([`GuardedExecutor::decide_recoverable`]) carrying
 /// what phase 2 ([`GuardedExecutor::execute_admitted`]) needs: the
-/// verdict plus the write-versions the inspection evidence was based on,
-/// for the dispatch-time tamper gate.
+/// verdict plus the write-versions the verdicts were based on, for the
+/// dispatch-time tamper gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// The guard verdict (no path counters recorded yet — phase 2 counts
     /// what actually ran).
     pub verdict: GuardVerdict,
-    /// `(array name, version)` for every inspected index array.
-    pub inspected: Vec<(String, u64)>,
+    /// Every index array whose verdict was read, in order.
+    pub inspected: Vec<Inspected>,
 }
 
 /// Cumulative decision counters for one executor.
@@ -117,8 +182,8 @@ pub struct GuardStats {
     /// Inspection failures (array not monotone enough) among the
     /// fallbacks.
     pub inspection_failures: u64,
-    /// Faulted fork-join regions observed (inspection scans and parallel
-    /// attempts; includes faults that a retry then recovered).
+    /// Faulted parallel attempts observed (including faults that a
+    /// retry then recovered).
     pub region_faults: u64,
     /// Bounded retries attempted after a transient fault.
     pub retries: u64,
@@ -127,8 +192,8 @@ pub struct GuardStats {
     /// Index arrays whose version drifted between inspection and
     /// dispatch (each denied the parallel path).
     pub tamper_detections: u64,
-    /// Index arrays rejected at the ingestion trust boundary (failed
-    /// re-verification in [`GuardedExecutor::decide_ingested`]).
+    /// Index arrays the verdict source refused to vouch for (failed
+    /// re-verification at the ingestion trust boundary).
     pub validation_rejections: u64,
     /// Times a fault opened a kernel's circuit breaker.
     pub breaker_trips: u64,
@@ -137,15 +202,13 @@ pub struct GuardStats {
     /// Invocations abandoned mid-ladder because their cancel token
     /// tripped (expired deadline or abandoned waiter).
     pub cancelled_invocations: u64,
-    /// Inspector-cache behaviour (shared across arrays).
-    pub cache: CacheStats,
 }
 
 /// Runs a kernel under its runtime guards.
 #[derive(Debug)]
 pub struct GuardedExecutor {
     check: Option<CompiledCheck>,
-    cache: Arc<InspectorCache>,
+    source: Box<dyn VerdictSource>,
     breaker: CircuitBreaker,
     parallel_runs: AtomicU64,
     serial_fallbacks: AtomicU64,
@@ -162,14 +225,23 @@ pub struct GuardedExecutor {
 }
 
 impl GuardedExecutor {
-    /// Builds an executor for a plan's (optional) scalar check. A plan
-    /// without a check admits the parallel path unconditionally — exactly
-    /// like a pragma without an `if (...)` clause.
+    /// Builds an executor for a plan's (optional) scalar check, reading
+    /// verdicts through [`SummarySource`]. A plan without a check admits
+    /// the parallel path unconditionally — exactly like a pragma without
+    /// an `if (...)` clause.
     pub fn new(check: Option<&CheckExpr>) -> Result<GuardedExecutor, CompileError> {
+        GuardedExecutor::with_source(check, Box::new(SummarySource))
+    }
+
+    /// [`GuardedExecutor::new`] reading verdicts through `source`.
+    pub fn with_source(
+        check: Option<&CheckExpr>,
+        source: Box<dyn VerdictSource>,
+    ) -> Result<GuardedExecutor, CompileError> {
         let compiled = check.map(CompiledCheck::compile).transpose()?;
         Ok(GuardedExecutor {
             check: compiled,
-            cache: Arc::new(InspectorCache::new()),
+            source,
             breaker: CircuitBreaker::default(),
             parallel_runs: AtomicU64::new(0),
             serial_fallbacks: AtomicU64::new(0),
@@ -186,17 +258,6 @@ impl GuardedExecutor {
         })
     }
 
-    /// Builds an executor sharing an existing inspector cache (several
-    /// kernels inspecting the same structure can pool their verdicts).
-    pub fn with_cache(
-        check: Option<&CheckExpr>,
-        cache: Arc<InspectorCache>,
-    ) -> Result<GuardedExecutor, CompileError> {
-        let mut e = GuardedExecutor::new(check)?;
-        e.cache = cache;
-        Ok(e)
-    }
-
     /// Replaces the default circuit breaker (threshold 3, cooldown 8)
     /// with a custom-tuned one.
     pub fn with_breaker(mut self, breaker: CircuitBreaker) -> GuardedExecutor {
@@ -204,137 +265,70 @@ impl GuardedExecutor {
         self
     }
 
-    /// The shared inspector cache.
-    pub fn cache(&self) -> &Arc<InspectorCache> {
-        &self.cache
-    }
-
     /// The per-kernel circuit breaker position (for harness assertions).
     pub fn breaker_state(&self, kernel: &str) -> BreakerState {
         self.breaker.state(kernel)
     }
 
-    /// Evaluates every guard and records the decision, without running
-    /// anything. The original one-phase entry point: no breaker, no
-    /// tamper gate — use [`GuardedExecutor::decide_recoverable`] +
-    /// [`GuardedExecutor::execute_admitted`] for the fault-tolerant path.
-    pub fn decide(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-    ) -> GuardVerdict {
-        let _decide_span = telemetry::span(Phase::GuardDecide, 0);
-        let (verdict, _) = self.evaluate(bindings, arrays, pool);
-        record_verdict("", &verdict);
-        match verdict.path {
-            GuardPath::Parallel => {
-                self.parallel_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            GuardPath::Serial => {
-                self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        verdict
-    }
-
-    /// Phase 1 of fault-tolerant guarded execution: breaker admission,
-    /// then every guard. Path counters are *not* recorded here — phase 2
+    /// Phase 1 of guarded execution: the ladder of the module docs
+    /// (breaker → scalar check → per array verify → verdict →
+    /// requirement). Path counters are *not* recorded here — phase 2
     /// records what actually ran, which can differ (tamper, faults).
+    ///
+    /// `pool` is unused: no verdict needs a scan to parallelize. It stays
+    /// because perfbench's replay calls this with an empty `arrays` and a
+    /// pool, to time the breaker and the check alone.
     pub fn decide_recoverable(
         &self,
         kernel: &str,
         bindings: &Bindings,
         arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
+        _pool: Option<&ThreadPool>,
     ) -> Decision {
         let _decide_span = telemetry::span_labeled(Phase::GuardDecide, kernel);
-        if let Err(remaining) = self.breaker.admit(kernel) {
-            self.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
-            let verdict = GuardVerdict::serial(ExecError::BreakerOpen { remaining });
-            record_verdict(kernel, &verdict);
-            return Decision {
-                verdict,
-                inspected: Vec::new(),
-            };
-        }
-        let (verdict, inspected) = self.evaluate(bindings, arrays, pool);
+        let mut inspected = Vec::with_capacity(arrays.len());
+        let verdict = self.evaluate(kernel, bindings, arrays, &mut inspected);
         record_verdict(kernel, &verdict);
         Decision { verdict, inspected }
     }
 
-    /// Phase 1 over *ingested* index arrays: the trust-boundary form of
-    /// [`GuardedExecutor::decide_recoverable`]. Before any inspection,
-    /// every [`ValidatedIndexArray`] is re-verified (checksum + domain) —
-    /// an array a writer mutated without going through the boundary, or
-    /// that somehow holds an out-of-domain subscript, denies up front
-    /// with [`ExecError::InvalidIndexArray`]. Only arrays that pass are
-    /// inspected, so the `unsafe` gather/scatter downstream never
-    /// dispatches on unvalidated subscripts.
-    ///
-    /// Inspection here is served from the arrays' block summaries
-    /// (O(blocks) per array, no element rescans, no thread pool): the
-    /// `verify()` that just passed recomputed the checksum from raw
-    /// data, proving the contents — and therefore the summaries the
-    /// boundary keeps in lockstep with them — are exactly the last
-    /// validated state, which is the precondition
-    /// [`InspectorCache::verdict_ingested`] needs.
-    pub fn decide_ingested(
+    fn evaluate(
         &self,
         kernel: &str,
         bindings: &Bindings,
-        arrays: &[(&ValidatedIndexArray, MonotoneReq)],
-        _pool: Option<&ThreadPool>,
-    ) -> Decision {
-        let _decide_span = telemetry::span_labeled(Phase::GuardDecide, kernel);
+        arrays: &[IndexArrayView<'_>],
+        inspected: &mut Vec<Inspected>,
+    ) -> GuardVerdict {
         if let Err(remaining) = self.breaker.admit(kernel) {
             self.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
-            let verdict = GuardVerdict::serial(ExecError::BreakerOpen { remaining });
-            record_verdict(kernel, &verdict);
-            return Decision {
-                verdict,
-                inspected: Vec::new(),
-            };
-        }
-        for (array, _) in arrays {
-            if let Err(e) = array.verify() {
-                self.validation_rejections.fetch_add(1, Ordering::Relaxed);
-                let verdict = GuardVerdict::serial(e.into());
-                record_verdict(kernel, &verdict);
-                return Decision {
-                    verdict,
-                    inspected: Vec::new(),
-                };
-            }
+            return GuardVerdict::serial(ExecError::BreakerOpen { remaining });
         }
         if let Some(denied) = self.eval_check(bindings) {
-            record_verdict(kernel, &denied);
-            return Decision {
-                verdict: denied,
-                inspected: Vec::new(),
-            };
+            return denied;
         }
-        let mut inspected = Vec::with_capacity(arrays.len());
-        for (array, required) in arrays {
-            let verdict = self.cache.verdict_ingested(array, *required);
-            inspected.push((array.name().to_string(), array.version()));
-            if !verdict.satisfies(*required) {
+        for view in arrays {
+            let (verdict, origin) = match self.source.verdict(view.array) {
+                Ok(found) => found,
+                Err(e) => {
+                    self.validation_rejections.fetch_add(1, Ordering::Relaxed);
+                    return GuardVerdict::serial(e.into());
+                }
+            };
+            inspected.push(Inspected {
+                array: view.name.to_string(),
+                version: view.version(),
+                origin,
+            });
+            if !verdict.satisfies(view.required) {
                 self.inspection_failures.fetch_add(1, Ordering::Relaxed);
-                let denied = GuardVerdict::serial(ExecError::NotMonotone {
-                    array: array.name().to_string(),
-                    required: *required,
+                return GuardVerdict::serial(ExecError::NotMonotone {
+                    array: view.name.to_string(),
+                    required: view.required,
                     first_violation: verdict.first_violation,
                 });
-                record_verdict(kernel, &denied);
-                return Decision {
-                    verdict: denied,
-                    inspected,
-                };
             }
         }
-        let verdict = GuardVerdict::parallel();
-        record_verdict(kernel, &verdict);
-        Decision { verdict, inspected }
+        GuardVerdict::parallel()
     }
 
     /// Phase 2: runs the variant phase 1 admitted, surviving parallel
@@ -405,19 +399,19 @@ impl GuardedExecutor {
             self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
             return Ok((serial(), decision.verdict.reason.clone()));
         }
-        // Tamper gate: the inspection evidence is only as good as the
-        // versions it was computed at. Any drift since phase 1 means a
-        // concurrent writer touched an index array — deny.
-        for (name, at_decision) in &decision.inspected {
+        // Tamper gate: the verdicts are only as good as the versions
+        // they were read at. Any drift since phase 1 means a concurrent
+        // writer touched an index array — deny.
+        for seen in &decision.inspected {
             let current = current_versions
                 .iter()
-                .find(|(n, _)| n == name)
+                .find(|(n, _)| *n == seen.array)
                 .map(|(_, v)| *v);
-            if current != Some(*at_decision) {
+            if current != Some(seen.version) {
                 self.tamper_detections.fetch_add(1, Ordering::Relaxed);
                 self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
                 let reason = ExecError::TamperDetected {
-                    array: name.clone(),
+                    array: seen.array.clone(),
                 };
                 return Ok((serial(), Some(reason)));
             }
@@ -536,82 +530,6 @@ impl GuardedExecutor {
         }
     }
 
-    fn evaluate(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-    ) -> (GuardVerdict, Vec<(String, u64)>) {
-        if let Some(denied) = self.eval_check(bindings) {
-            return (denied, Vec::new());
-        }
-        let mut inspected = Vec::with_capacity(arrays.len());
-        for view in arrays {
-            let verdict = self.inspect_with_retry(view, pool);
-            inspected.push((view.name.to_string(), view.version));
-            if !verdict.satisfies(view.required) {
-                self.inspection_failures.fetch_add(1, Ordering::Relaxed);
-                return (
-                    GuardVerdict::serial(ExecError::NotMonotone {
-                        array: view.name.to_string(),
-                        required: view.required,
-                        first_violation: verdict.first_violation,
-                    }),
-                    inspected,
-                );
-            }
-        }
-        (GuardVerdict::parallel(), inspected)
-    }
-
-    /// The inspection rung of the ladder: cached parallel scan, one
-    /// retry on a region fault (inspection is read-only, so a rerun is
-    /// always sound), then the infallible serial scan. Always produces a
-    /// genuine verdict; faults are counted, never memoized.
-    fn inspect_with_retry(
-        &self,
-        view: &IndexArrayView<'_>,
-        pool: Option<&ThreadPool>,
-    ) -> MonotoneVerdict {
-        match self.cache.try_verdict(view, pool) {
-            Ok(v) => v,
-            Err(_) => {
-                self.region_faults.fetch_add(1, Ordering::Relaxed);
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                match self.cache.try_verdict(view, pool) {
-                    Ok(v) => {
-                        self.retry_successes.fetch_add(1, Ordering::Relaxed);
-                        v
-                    }
-                    Err(_) => {
-                        self.region_faults.fetch_add(1, Ordering::Relaxed);
-                        self.cache.verdict_serial(view)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decides, then runs the admitted variant. Both closures receive
-    /// nothing and return the kernel's output value; the caller keeps
-    /// ownership of all state. (One-phase form without fault recovery;
-    /// see [`GuardedExecutor::execute_admitted`].)
-    pub fn run<T>(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-        parallel: impl FnOnce() -> T,
-        serial: impl FnOnce() -> T,
-    ) -> (T, GuardVerdict) {
-        let verdict = self.decide(bindings, arrays, pool);
-        let out = match verdict.path {
-            GuardPath::Parallel => parallel(),
-            GuardPath::Serial => serial(),
-        };
-        (out, verdict)
-    }
-
     /// Snapshot of the decision counters.
     pub fn stats(&self) -> GuardStats {
         GuardStats {
@@ -627,7 +545,6 @@ impl GuardedExecutor {
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_short_circuits: self.breaker_short_circuits.load(Ordering::Relaxed),
             cancelled_invocations: self.cancelled_invocations.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
         }
     }
 }
@@ -637,6 +554,7 @@ mod tests {
     use super::*;
     use crate::expr::parse_check;
     use crate::inspect::MonotoneReq;
+    use crate::validate::Provenance;
 
     fn amgmk_bindings(num_rownnz: i64, irownnz_max: i64) -> Bindings {
         let mut b = Bindings::new();
@@ -645,11 +563,37 @@ mod tests {
         b
     }
 
+    fn ingest(data: Vec<usize>) -> ValidatedIndexArray {
+        ValidatedIndexArray::ingest(
+            "b",
+            data,
+            10,
+            Provenance::Untrusted {
+                source: "test".into(),
+            },
+        )
+        .unwrap()
+    }
+
+    fn decision(e: &GuardedExecutor, b: &Bindings, arrays: &[IndexArrayView<'_>]) -> Decision {
+        e.decide_recoverable("k", b, arrays, None)
+    }
+
+    fn summary_of(version: u64) -> Inspected {
+        Inspected {
+            array: "b".into(),
+            version,
+            origin: VerdictOrigin::Summary,
+        }
+    }
+
     #[test]
     fn no_check_admits_parallel() {
         let e = GuardedExecutor::new(None).unwrap();
-        let v = e.decide(&Bindings::new(), &[], None);
-        assert_eq!(v.path, GuardPath::Parallel);
+        let d = decision(&e, &Bindings::new(), &[]);
+        assert_eq!(d.verdict.path, GuardPath::Parallel);
+        let (out, _) = e.execute_admitted("k", &d, &[], || Ok("par"), || {}, || "ser");
+        assert_eq!(out, "par");
         assert_eq!(e.stats().parallel_runs, 1);
     }
 
@@ -657,9 +601,14 @@ mod tests {
     fn failing_check_falls_back() {
         let c = parse_check("num_rownnz - 1 <= irownnz_max").unwrap();
         let e = GuardedExecutor::new(Some(&c)).unwrap();
-        let v = e.decide(&amgmk_bindings(200, 100), &[], None);
-        assert_eq!(v.path, GuardPath::Serial);
-        assert!(matches!(v.reason, Some(ExecError::CheckFailed { .. })));
+        let d = decision(&e, &amgmk_bindings(200, 100), &[]);
+        assert_eq!(d.verdict.path, GuardPath::Serial);
+        assert!(matches!(
+            d.verdict.reason,
+            Some(ExecError::CheckFailed { .. })
+        ));
+        let (out, _) = e.execute_admitted("k", &d, &[], || Ok("par"), || {}, || "ser");
+        assert_eq!(out, "ser");
         let s = e.stats();
         assert_eq!((s.serial_fallbacks, s.check_failures), (1, 1));
     }
@@ -668,7 +617,7 @@ mod tests {
     fn unbound_symbol_falls_back_instead_of_panicking() {
         let c = parse_check("num_rownnz - 1 <= irownnz_max").unwrap();
         let e = GuardedExecutor::new(Some(&c)).unwrap();
-        let v = e.decide(&Bindings::new(), &[], None);
+        let v = decision(&e, &Bindings::new(), &[]).verdict;
         assert_eq!(v.path, GuardPath::Serial);
         assert!(matches!(v.reason, Some(ExecError::CheckUnevaluable { .. })));
         assert!(v.reason.unwrap().to_string().contains("not evaluable"));
@@ -686,7 +635,7 @@ mod tests {
         b.set_var("a", 3_037_000_500)
             .set_var("b", 3_037_000_500)
             .set_var("c", 0);
-        let v = e.decide(&b, &[], None);
+        let v = decision(&e, &b, &[]).verdict;
         assert_eq!(v.path, GuardPath::Serial);
         match v.reason {
             Some(ExecError::CheckUnevaluable { detail }) => {
@@ -700,38 +649,22 @@ mod tests {
     #[test]
     fn ingested_arrays_admit_through_the_boundary() {
         let e = GuardedExecutor::new(None).unwrap();
-        let a = ValidatedIndexArray::ingest(
-            "b",
-            vec![0, 1, 2, 3],
-            10,
-            crate::validate::Provenance::Untrusted {
-                source: "test".into(),
-            },
-        )
-        .unwrap();
-        let d = e.decide_ingested("k", &Bindings::new(), &[(&a, MonotoneReq::Strict)], None);
+        let a = ingest(vec![0, 1, 2, 3]);
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::Strict)]);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
-        assert_eq!(d.inspected, vec![("b".to_string(), 0)]);
+        assert_eq!(d.inspected, vec![summary_of(0)]);
         assert_eq!(e.stats().validation_rejections, 0);
     }
 
     #[test]
     fn bypassing_writer_denies_before_inspection() {
         let e = GuardedExecutor::new(None).unwrap();
-        let mut a = ValidatedIndexArray::ingest(
-            "b",
-            vec![0, 1, 2, 3],
-            10,
-            crate::validate::Provenance::Untrusted {
-                source: "test".into(),
-            },
-        )
-        .unwrap();
+        let mut a = ingest(vec![0, 1, 2, 3]);
         // A hostile writer mutates the data without announcing it: the
         // contents are still in domain (and still monotone), but the
         // checksum no longer matches the validated state.
         a.bypass_validation_mut()[1] = 2;
-        let d = e.decide_ingested("k", &Bindings::new(), &[(&a, MonotoneReq::NonStrict)], None);
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::NonStrict)]);
         assert_eq!(d.verdict.path, GuardPath::Serial);
         match d.verdict.reason {
             Some(ExecError::InvalidIndexArray { array, detail }) => {
@@ -747,16 +680,10 @@ mod tests {
     #[test]
     fn failing_inspection_falls_back_with_location() {
         let e = GuardedExecutor::new(None).unwrap();
-        let data = vec![0usize, 5, 3];
-        let view = IndexArrayView {
-            name: "b",
-            data: &data,
-            version: 0,
-            required: MonotoneReq::NonStrict,
-        };
-        let v = e.decide(&Bindings::new(), &[view], None);
-        assert_eq!(v.path, GuardPath::Serial);
-        match v.reason {
+        let a = ingest(vec![0, 5, 3]);
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::NonStrict)]);
+        assert_eq!(d.verdict.path, GuardPath::Serial);
+        match d.verdict.reason {
             Some(ExecError::NotMonotone {
                 first_violation, ..
             }) => assert_eq!(first_violation, Some(2)),
@@ -766,63 +693,53 @@ mod tests {
     }
 
     #[test]
-    fn run_dispatches_and_cache_hits_accumulate() {
+    fn repeated_decisions_admit_from_the_summaries() {
         let c = parse_check("num_rownnz - 1 <= irownnz_max").unwrap();
         let e = GuardedExecutor::new(Some(&c)).unwrap();
-        let data = vec![0usize, 1, 2, 3];
-        let view = IndexArrayView {
-            name: "b",
-            data: &data,
-            version: 0,
-            required: MonotoneReq::Strict,
-        };
+        let a = ingest(vec![0, 1, 2, 3]);
         let b = amgmk_bindings(4, 4);
-        let (out, v) = e.run(&b, &[view], None, || "par", || "ser");
-        assert_eq!((out, v.path), ("par", GuardPath::Parallel));
-        let (out, _) = e.run(&b, &[view], None, || "par", || "ser");
-        assert_eq!(out, "par");
-        let s = e.stats();
-        assert_eq!(s.parallel_runs, 2);
-        assert!(s.cache.hits >= 1, "second run must be served from cache");
+        for _ in 0..2 {
+            let d = decision(&e, &b, &[a.view(MonotoneReq::Strict)]);
+            assert_eq!(d.inspected, vec![summary_of(0)]);
+            let (out, _) = e.execute_admitted("k", &d, &[("b", 0)], || Ok("par"), || {}, || "ser");
+            assert_eq!(out, "par");
+        }
+        assert_eq!(e.stats().parallel_runs, 2);
     }
 
     #[test]
     fn strict_requirement_rejects_plateau() {
         let e = GuardedExecutor::new(None).unwrap();
-        let data = vec![0usize, 1, 1, 2];
-        let strict = IndexArrayView {
-            name: "b",
-            data: &data,
-            version: 0,
-            required: MonotoneReq::Strict,
-        };
-        assert_eq!(
-            e.decide(&Bindings::new(), &[strict], None).path,
-            GuardPath::Serial
-        );
-        let nonstrict = IndexArrayView {
-            required: MonotoneReq::NonStrict,
-            ..strict
-        };
-        assert_eq!(
-            e.decide(&Bindings::new(), &[nonstrict], None).path,
-            GuardPath::Parallel
-        );
+        let a = ingest(vec![0, 1, 1, 2]);
+        let strict = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::Strict)]);
+        assert_eq!(strict.verdict.path, GuardPath::Serial);
+        let nonstrict = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::NonStrict)]);
+        assert_eq!(nonstrict.verdict.path, GuardPath::Parallel);
+    }
+
+    #[test]
+    fn sanctioned_write_that_breaks_monotonicity_denies() {
+        let e = GuardedExecutor::new(None).unwrap();
+        let mut a = ingest(vec![0, 1, 2, 3]);
+        a.mutate_range(2..3, |w| w[0] = 0).unwrap();
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::NonStrict)]);
+        assert!(matches!(
+            d.verdict.reason,
+            Some(ExecError::NotMonotone {
+                first_violation: Some(2),
+                ..
+            })
+        ));
+        assert_eq!(d.inspected, vec![summary_of(1)]);
     }
 
     #[test]
     fn two_phase_happy_path_runs_parallel_once() {
         let e = GuardedExecutor::new(None).unwrap();
-        let data = vec![0usize, 1, 2, 3];
-        let view = IndexArrayView {
-            name: "b",
-            data: &data,
-            version: 0,
-            required: MonotoneReq::Strict,
-        };
-        let d = e.decide_recoverable("k", &Bindings::new(), &[view], None);
+        let a = ingest(vec![0, 1, 2, 3]);
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::Strict)]);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
-        assert_eq!(d.inspected, vec![("b".to_string(), 0)]);
+        assert_eq!(d.inspected, vec![summary_of(0)]);
         let (out, reason) = e.execute_admitted("k", &d, &[("b", 0)], || Ok("par"), || {}, || "ser");
         assert_eq!((out, reason), ("par", None));
         let s = e.stats();
@@ -832,17 +749,13 @@ mod tests {
     #[test]
     fn version_drift_at_dispatch_is_tamper() {
         let e = GuardedExecutor::new(None).unwrap();
-        let data = vec![0usize, 1, 2, 3];
-        let view = IndexArrayView {
-            name: "b",
-            data: &data,
-            version: 3,
-            required: MonotoneReq::Strict,
-        };
-        let d = e.decide_recoverable("k", &Bindings::new(), &[view], None);
+        let mut a = ingest(vec![0, 1, 2, 3]);
+        let d = decision(&e, &Bindings::new(), &[a.view(MonotoneReq::Strict)]);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
-        // A writer bumped the version between phases.
-        let (out, reason) = e.execute_admitted("k", &d, &[("b", 4)], || Ok("par"), || {}, || "ser");
+        // A sanctioned writer bumps the version between phases.
+        a.mutate_range(3..4, |w| w[0] = 4).unwrap();
+        let current = [("b", a.version())];
+        let (out, reason) = e.execute_admitted("k", &d, &current, || Ok("par"), || {}, || "ser");
         assert_eq!(out, "ser");
         assert_eq!(
             reason,

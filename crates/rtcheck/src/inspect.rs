@@ -1,21 +1,19 @@
-//! The parallel index-array inspector.
+//! The reference index-array scans.
 //!
-//! When compile-time analysis is inconclusive (or when defense-in-depth is
-//! wanted at negligible cost), the monotonicity property the dependence
-//! test relies on can be established by *inspecting the actual index
-//! array at runtime* — the inspector half of classic inspector–executor
+//! When compile-time analysis is inconclusive, the monotonicity property
+//! the dependence test relies on is established from the *actual index
+//! array* at runtime — the inspector half of classic inspector–executor
 //! parallelization. One scan establishes both non-strict and strict
 //! monotonicity (strict ⇒ injectivity, the gather/scatter requirement),
-//! so a cached verdict serves either requirement.
+//! so one verdict serves either requirement.
 //!
-//! The scan itself is parallel: the array is cut into per-thread chunks,
-//! each chunk verifies its interior adjacent pairs on the `omprt` pool,
-//! and a serial boundary-fixup pass checks the chunk-joining pairs the
-//! interior scans skipped.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use subsub_failpoint as failpoint;
-use subsub_omprt::{CancelToken, RegionError, Schedule, ThreadPool};
+//! Production never rescans an array per decision: the ingestion trust
+//! boundary keeps per-block summaries ([`crate::block::BlockSummaries`])
+//! that yield the same verdict in O(n / [`crate::BLOCK_LEN`]). The scans
+//! here are the O(n) ground truth those summaries are built from and
+//! checked against: [`scan_pairs`] (the wide adjacent-pair primitive),
+//! [`inspect_serial`] (the whole-array verdict) and
+//! [`inspect_block_monotone`] (the within-block verdict).
 
 /// Monotonicity flavour a dependence-test pattern requires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,12 +40,8 @@ pub struct MonotoneVerdict {
     pub nonstrict: bool,
     /// Adjacent pairs strictly increase.
     pub strict: bool,
-    /// Index `i` of an element with `data[i-1] ⋠ data[i]` under the
-    /// *non-strict* requirement, if any. The serial scan reports the
-    /// globally first such index; the parallel scan reports the earliest
-    /// *observed* one — once any chunk sees a non-strict violation the
-    /// remaining chunks are cancelled (the verdict is already decided),
-    /// so a later chunk's violation may be the one recorded.
+    /// The globally first index `i` with `data[i-1] > data[i]` (a
+    /// violation of the *non-strict* requirement), if any.
     pub first_violation: Option<usize>,
     /// Number of elements inspected.
     pub len: usize,
@@ -62,26 +56,6 @@ impl MonotoneVerdict {
         }
     }
 }
-
-/// A kernel instance's view of one runtime index array, carrying the
-/// identity + version the memo cache keys on.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexArrayView<'a> {
-    /// Array name as it appears in the analyzed source (`A_rownnz`).
-    pub name: &'a str,
-    /// The actual runtime contents.
-    pub data: &'a [usize],
-    /// Monotonically increasing write-version: the owner bumps it on every
-    /// mutation, which is what invalidates cached verdicts.
-    pub version: u64,
-    /// The flavour the parallelization decision needs.
-    pub required: MonotoneReq,
-}
-
-/// Below this length a serial scan beats the fork-join cost. Public so
-/// adversarial harnesses can construct arrays that exercise the parallel
-/// scan's chunk-boundary fixup.
-pub const PAR_THRESHOLD: usize = 8192;
 
 /// Pairs examined between early-exit checks of the wide scan. The inner
 /// fold stays branch-free across one stride; a tripped stride triggers
@@ -165,32 +139,10 @@ pub fn scan_pairs(data: &[usize]) -> PairScan {
     }
 }
 
-/// Inspects `data` for monotonicity. With a pool and a large enough array
-/// the scan is chunk-parallel; the verdict is identical either way. A
-/// faulted parallel scan (a panicking or dying worker) degrades to the
-/// serial scan — inspection is read-only, so a rerun is always sound.
-/// Use [`try_inspect_monotone`] to observe the fault instead.
-pub fn inspect_monotone(data: &[usize], pool: Option<&ThreadPool>) -> MonotoneVerdict {
-    try_inspect_monotone(data, pool).unwrap_or_else(|_| inspect_serial(data))
-}
-
-/// [`inspect_monotone`] that reports a faulted parallel scan instead of
-/// silently rescuing it, so callers (the inspector cache, the guard's
-/// retry ladder) can refuse to memoize a verdict that was never reached.
-pub fn try_inspect_monotone(
-    data: &[usize],
-    pool: Option<&ThreadPool>,
-) -> Result<MonotoneVerdict, RegionError> {
-    match pool {
-        Some(pool) if data.len() >= PAR_THRESHOLD => inspect_parallel(data, pool),
-        _ => Ok(inspect_serial(data)),
-    }
-}
-
-/// The unconditionally-serial scan; infallible, the ladder's last rung.
-/// Built on the wide [`scan_pairs`] primitive, so it runs at
-/// autovectorized throughput while reporting the same globally-first
-/// violation index as the one-pair-per-iteration loop it replaced.
+/// The whole-array reference scan. Built on the wide [`scan_pairs`]
+/// primitive, so it runs at autovectorized throughput while reporting
+/// the same globally-first violation index as the one-pair-per-iteration
+/// loop it replaced.
 pub fn inspect_serial(data: &[usize]) -> MonotoneVerdict {
     let ps = scan_pairs(data);
     MonotoneVerdict {
@@ -239,70 +191,10 @@ pub fn inspect_block_monotone(data: &[usize], b: usize) -> MonotoneVerdict {
     }
 }
 
-fn inspect_parallel(data: &[usize], pool: &ThreadPool) -> Result<MonotoneVerdict, RegionError> {
-    let n = data.len();
-    let threads = pool.threads().max(1);
-    // A few chunks per thread so dynamic scheduling can absorb noise.
-    let chunks = (threads * 4).min(n / 2).max(1);
-    let chunk_len = n.div_ceil(chunks);
-    // usize::MAX = "no violation seen"; fetch-min keeps the earliest.
-    let nonstrict_viol = AtomicUsize::new(usize::MAX);
-    let strict_viol = AtomicUsize::new(usize::MAX);
-    // A non-strict violation settles the whole verdict (both flavours are
-    // false), so the first chunk to find one cancels the rest of the scan
-    // instead of letting every remaining chunk finish pointlessly.
-    let cancel = CancelToken::new();
-    pool.try_parallel_for_cancel(chunks, Schedule::Dynamic { chunk: 1 }, &cancel, |c| {
-        // Chaos site: a Panic arm here makes this chunk's job unwind,
-        // which surfaces as `RegionError::Panicked` below — the verdict
-        // must then be treated as never reached.
-        failpoint::hit("rtcheck.inspect.chunk");
-        let start = c * chunk_len;
-        let end = ((c + 1) * chunk_len).min(n);
-        if start >= end {
-            return;
-        }
-        // Interior pairs only, through the wide scan; pairs straddling
-        // chunk joins are fixed up below.
-        let ps = scan_pairs(&data[start..end]);
-        if let Some(rel) = ps.first_violation {
-            nonstrict_viol.fetch_min(start + rel, Ordering::Relaxed);
-            strict_viol.fetch_min(start + rel, Ordering::Relaxed);
-            cancel.cancel();
-        } else if !ps.strict {
-            // Only the *presence* of an equality matters for the strict
-            // flag (no index is ever reported for it), so the chunk
-            // start stands in as the fetch-min marker.
-            strict_viol.fetch_min(start.max(1), Ordering::Relaxed);
-        }
-    })?;
-    // Cross-chunk boundary fixup: the pair (chunk_end - 1, chunk_end) of
-    // every join was inspected by neither side.
-    for c in 1..chunks {
-        let i = c * chunk_len;
-        if i == 0 || i >= n {
-            continue;
-        }
-        if data[i - 1] > data[i] {
-            nonstrict_viol.fetch_min(i, Ordering::Relaxed);
-            strict_viol.fetch_min(i, Ordering::Relaxed);
-        } else if data[i - 1] == data[i] {
-            strict_viol.fetch_min(i, Ordering::Relaxed);
-        }
-    }
-    let nv = nonstrict_viol.load(Ordering::Relaxed);
-    let sv = strict_viol.load(Ordering::Relaxed);
-    Ok(MonotoneVerdict {
-        nonstrict: nv == usize::MAX,
-        strict: sv == usize::MAX,
-        first_violation: (nv != usize::MAX).then_some(nv),
-        len: n,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{BlockSummaries, BLOCK_LEN};
 
     #[test]
     fn serial_verdicts() {
@@ -326,75 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_on_large_arrays() {
-        let pool = ThreadPool::new(4);
-        let n = PAR_THRESHOLD * 2 + 123;
-        // Strict.
-        let data: Vec<usize> = (0..n).collect();
-        assert_eq!(inspect_monotone(&data, Some(&pool)), inspect_serial(&data));
-        // Plateau (non-strict only).
-        let mut plateau = data.clone();
-        plateau[n / 2] = plateau[n / 2 - 1];
-        let got = inspect_monotone(&plateau, Some(&pool));
-        assert!(got.nonstrict && !got.strict);
-        // Violation (neither), at an arbitrary position.
-        let mut broken = data.clone();
-        broken[n / 3] = 0;
-        let got = inspect_monotone(&broken, Some(&pool));
-        let want = inspect_serial(&broken);
-        assert_eq!(got.nonstrict, want.nonstrict);
-        assert_eq!(got.strict, want.strict);
-        assert!(got.first_violation.is_some());
-    }
-
-    #[test]
-    fn boundary_violation_is_caught() {
-        // Construct a violation exactly at a chunk join for a 4-thread
-        // pool: chunks = 16, chunk_len = n/16.
-        let pool = ThreadPool::new(4);
-        let n = PAR_THRESHOLD * 2;
-        let chunk_len = n.div_ceil(16);
-        let mut data: Vec<usize> = (0..n).map(|i| i * 2).collect();
-        data[chunk_len] = data[chunk_len - 1] - 1; // only the join pair decreases
-        let v = inspect_monotone(&data, Some(&pool));
-        assert!(!v.nonstrict, "boundary fixup must catch the join violation");
-    }
-
-    #[test]
-    fn cancelled_scan_still_reports_a_correct_verdict() {
-        // A violation in the very first chunk cancels the rest of the
-        // parallel scan; the verdict must nonetheless be decided and a
-        // violating index reported.
-        let pool = ThreadPool::new(4);
-        let n = PAR_THRESHOLD * 8;
-        let mut data: Vec<usize> = (0..n).collect();
-        data[1] = usize::MAX; // data[1] > data[2]: violation at i = 2
-        let v = inspect_monotone(&data, Some(&pool));
-        assert!(!v.nonstrict && !v.strict);
-        let i = v.first_violation.expect("violation reported");
-        assert!(
-            i < n && data[i - 1] > data[i],
-            "reported index is a real violation"
-        );
-    }
-
-    #[test]
-    fn small_arrays_skip_the_pool() {
-        // Passing a pool but a small array must still produce the serial
-        // verdict (and not deadlock on a 1-thread pool).
-        let pool = ThreadPool::new(1);
-        let v = inspect_monotone(&[3, 1, 2], Some(&pool));
-        assert!(!v.nonstrict);
-        assert_eq!(v.first_violation, Some(1));
-    }
-
-    #[test]
-    fn degenerate_inputs_serial_and_pooled_agree() {
-        // Adversarial degenerate shapes: the serial and pooled scans must
-        // agree on the (nonstrict, strict) flags for every one of them.
-        // Violation indices may differ (cancellation semantics), but any
-        // reported index must point at a real violating pair.
-        let pool = ThreadPool::new(3);
+    fn degenerate_inputs_serial_and_summaries_agree() {
+        // Adversarial degenerate shapes: the reference scan and the
+        // block-summary verdict production uses must agree on the whole
+        // verdict, and any reported index must point at a real
+        // violating pair.
+        let n = 2 * BLOCK_LEN;
+        let near_max = |len: usize| (0..len).map(|i| usize::MAX - len + i).collect::<Vec<_>>();
+        let mut max_then_drop = near_max(BLOCK_LEN + 1);
+        max_then_drop[BLOCK_LEN / 2] = usize::MAX;
+        let mut join_drop: Vec<usize> = (0..n).map(|i| i * 2).collect();
+        join_drop[BLOCK_LEN] = join_drop[BLOCK_LEN - 1] - 1;
         let cases: Vec<Vec<usize>> = vec![
             vec![],
             vec![0],
@@ -403,67 +237,35 @@ mod tests {
             vec![usize::MAX - 1, usize::MAX],
             vec![usize::MAX, 0],
             vec![0, usize::MAX],
+            vec![3, 1, 2],
             vec![7; 17],
-            vec![7; PAR_THRESHOLD + 5],
-            (0..PAR_THRESHOLD + 9).map(|i| i / 2).collect(),
-            (0..PAR_THRESHOLD + 9)
-                .map(|i| usize::MAX - (PAR_THRESHOLD + 9) + i)
-                .collect(),
+            vec![7; BLOCK_LEN + 5],
+            vec![3; n],
+            (0..BLOCK_LEN + 9).map(|i| i / 2).collect(),
+            near_max(BLOCK_LEN + 9),
+            max_then_drop,
+            join_drop,
         ];
         for data in &cases {
             let serial = inspect_serial(data);
-            let pooled = inspect_monotone(data, Some(&pool));
-            assert_eq!(
-                serial.nonstrict,
-                pooled.nonstrict,
-                "{:?}…",
-                &data[..data.len().min(4)]
-            );
-            assert_eq!(
-                serial.strict,
-                pooled.strict,
-                "{:?}…",
-                &data[..data.len().min(4)]
-            );
-            for v in [&serial, &pooled] {
-                if let Some(i) = v.first_violation {
-                    assert!(i > 0 && i < data.len() && data[i - 1] > data[i]);
-                }
+            let summary = BlockSummaries::build_unchecked(data).verdict();
+            assert_eq!(serial, summary, "{:?}…", &data[..data.len().min(4)]);
+            if let Some(i) = serial.first_violation {
+                assert!(i > 0 && i < data.len() && data[i - 1] > data[i]);
             }
         }
     }
 
     #[test]
-    fn vacuous_inputs_are_strict_for_both_paths() {
-        let pool = ThreadPool::new(2);
+    fn vacuous_inputs_are_strict_for_both_verdicts() {
         for data in [vec![], vec![42]] {
-            for v in [inspect_serial(&data), inspect_monotone(&data, Some(&pool))] {
+            for v in [
+                inspect_serial(&data),
+                BlockSummaries::build_unchecked(&data).verdict(),
+            ] {
                 assert!(v.strict && v.nonstrict && v.first_violation.is_none());
                 assert_eq!(v.len, data.len());
             }
         }
-    }
-
-    #[test]
-    fn all_equal_plateau_through_the_parallel_path() {
-        // A plateau long enough to engage the chunked scan: every chunk
-        // AND every chunk-join pair is an equality — nonstrict only.
-        let pool = ThreadPool::new(4);
-        let data = vec![3; PAR_THRESHOLD * 2];
-        let v = inspect_monotone(&data, Some(&pool));
-        assert!(v.nonstrict && !v.strict && v.first_violation.is_none());
-    }
-
-    #[test]
-    fn max_entries_do_not_wrap_the_parallel_scan() {
-        // Entries adjacent to usize::MAX must not overflow any chunk-size
-        // or comparison arithmetic in the pooled path.
-        let pool = ThreadPool::new(4);
-        let n = PAR_THRESHOLD + 1;
-        let mut data: Vec<usize> = (0..n).map(|i| usize::MAX - n + i).collect();
-        assert!(inspect_monotone(&data, Some(&pool)).strict);
-        data[n / 2] = usize::MAX; // plateau at MAX further right, then decrease
-        let v = inspect_monotone(&data, Some(&pool));
-        assert_eq!(v.nonstrict, inspect_serial(&data).nonstrict);
     }
 }

@@ -14,25 +14,25 @@
 //! * [`CompiledCheck`] — a compiled predicate: symbols are resolved to
 //!   slots once, each comparison is flattened into difference form, and
 //!   evaluation against a [`Bindings`] environment is allocation-free.
-//! * [`inspect`] — a parallel index-array inspector verifying (strict)
-//!   monotonicity of an actual array at runtime when compile-time analysis
-//!   is inconclusive: chunked scan on the `omprt` thread pool with
-//!   cross-chunk boundary fixup.
-//! * [`InspectorCache`] — memoization of inspection verdicts keyed by
-//!   array identity and version, so repeated kernel invocations with
-//!   unchanged index arrays skip re-inspection in O(1).
-//! * [`GuardedExecutor`] — runs the parallel variant when every check and
-//!   inspection passes and degrades gracefully to the serial variant
-//!   otherwise, recording pass/fail/cache-hit counters for observability.
+//! * [`ValidatedIndexArray`] — the ingestion trust boundary: the one
+//!   sanctioned path from raw subscript data into the guard and
+//!   dispatch, validating every entry against the target array's domain
+//!   and tracking mutations (version + checksum + per-block summaries)
+//!   so out-of-band writers are caught before the `unsafe`
+//!   gather/scatter ever sees them. Its block summaries give the
+//!   whole-array monotonicity verdict in O(n / [`BLOCK_LEN`]).
+//! * [`GuardedExecutor`] — the one decision path from index arrays to a
+//!   guard verdict: breaker, scalar check, then per array verify →
+//!   verdict (from a [`VerdictSource`]) → requirement; it runs the
+//!   parallel variant when every rung passes and degrades gracefully to
+//!   the serial variant otherwise, counting each outcome.
 //! * [`ExecError`] + [`CircuitBreaker`] — the degradation policy: every
 //!   fallback is a classified error, transient machinery faults get one
 //!   bounded retry, and a kernel whose parallel path keeps faulting is
 //!   pinned to serial for a cooldown before a half-open re-trial.
-//! * [`ValidatedIndexArray`] — the ingestion trust boundary: the one
-//!   sanctioned path from raw subscript data into inspection and
-//!   dispatch, validating every entry against the target array's domain
-//!   and tracking mutations (version + checksum) so out-of-band writers
-//!   are caught before the `unsafe` gather/scatter ever sees them.
+//! * [`inspect`] — the O(n) reference scans ([`inspect_serial`],
+//!   [`inspect_block_monotone`]) the block summaries are checked
+//!   against.
 
 pub mod bindings;
 pub mod block;
@@ -48,15 +48,18 @@ pub mod validate;
 pub use bindings::Bindings;
 pub use block::{BlockSummaries, BlockSummary, BLOCK_LEN, FINGERPRINT_VERSION};
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use cache::{CacheStats, InspectorCache, VerdictCache, MEMO_CAPACITY};
+pub use cache::VerdictCache;
 pub use compile::{CompileError, CompiledCheck, EvalError};
 pub use error::ExecError;
 pub use expr::{parse_check, CheckExpr, CmpOp, ParseError};
-pub use guard::{Decision, GuardPath, GuardStats, GuardVerdict, GuardedExecutor};
+pub use guard::{
+    Decision, GuardPath, GuardStats, GuardVerdict, GuardedExecutor, Inspected, Lookup,
+    SummarySource, VerdictOrigin, VerdictSource,
+};
 pub use inspect::{
-    inspect_block_monotone, inspect_monotone, inspect_serial, scan_pairs, try_inspect_monotone,
-    IndexArrayView, MonotoneReq, MonotoneVerdict, PairScan, PAR_THRESHOLD,
+    inspect_block_monotone, inspect_serial, scan_pairs, MonotoneReq, MonotoneVerdict, PairScan,
 };
 pub use validate::{
-    composed_verdict, ComposedVerdict, Provenance, ValidatedIndexArray, ValidationError,
+    composed_verdict, ComposedVerdict, IndexArrayView, Provenance, ValidatedIndexArray,
+    ValidationError,
 };

@@ -1,7 +1,7 @@
 //! The ingestion trust boundary for index arrays.
 //!
-//! Everything downstream of this module — the inspector, the memo cache,
-//! the guard's tamper gate, and ultimately the `unsafe` gather/scatter in
+//! Everything downstream of this module — the verdict source, the
+//! guard's tamper gate, and ultimately the `unsafe` gather/scatter in
 //! the kernels — *assumes* that every subscript is a valid index into the
 //! target array. That assumption is exactly what a hostile (or merely
 //! buggy) input can break: an out-of-range entry behind `unsafe` indexing
@@ -19,9 +19,10 @@
 //!   arbitrary whole-vector edit, O(n)) or the preferred
 //!   [`ValidatedIndexArray::mutate_range`] (a ranged in-place edit,
 //!   O(Δ) in the touched window): both re-validate, bump the
-//!   write-version (invalidating cached verdicts) and refresh the
-//!   content checksum, and both roll back a mutation that would leave
-//!   the array out of domain;
+//!   write-version (which the guard's tamper gate compares) and refresh
+//!   the content checksum (which content-keyed verdict caches key on),
+//!   and both roll back a mutation that would leave the array out of
+//!   domain;
 //! * **verification** ([`ValidatedIndexArray::verify`]) re-checks the
 //!   checksum and domain *from the raw data*, catching out-of-band
 //!   writers that bypassed the boundary (the hostile-writer model of
@@ -42,7 +43,7 @@
 //! divergence report can say *where* the bytes came from.
 
 use crate::block::{first_out_of_domain, BlockSummaries};
-use crate::inspect::{IndexArrayView, MonotoneReq, MonotoneVerdict};
+use crate::inspect::{MonotoneReq, MonotoneVerdict};
 use std::fmt;
 use std::ops::Range;
 use subsub_telemetry as telemetry;
@@ -138,6 +139,29 @@ impl From<ValidationError> for crate::error::ExecError {
             array: e.array().to_string(),
             detail: e.to_string(),
         }
+    }
+}
+
+/// A kernel instance's view of one of its validated index arrays, with
+/// the requirement its parallel variant needs. The only way to build one
+/// is [`ValidatedIndexArray::view`], so everything the guard decides on
+/// has passed the ingestion trust boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexArrayView<'a> {
+    /// Array name as it appears in the analyzed source (`A_rownnz`).
+    pub name: &'a str,
+    /// The actual runtime contents.
+    pub data: &'a [usize],
+    /// The flavour the parallelization decision needs.
+    pub required: MonotoneReq,
+    pub(crate) array: &'a ValidatedIndexArray,
+}
+
+impl IndexArrayView<'_> {
+    /// The array's write-version: the owner bumps it on every sanctioned
+    /// mutation, which is what the guard's tamper gate compares.
+    pub fn version(&self) -> u64 {
+        self.array.version()
     }
 }
 
@@ -261,14 +285,14 @@ impl ValidatedIndexArray {
         &self.provenance
     }
 
-    /// An inspection/dispatch view carrying the identity and version the
-    /// memo cache and the guard's tamper gate key on.
+    /// The view a kernel instance hands the guard: this array plus the
+    /// requirement its parallel variant needs.
     pub fn view(&self, required: MonotoneReq) -> IndexArrayView<'_> {
         IndexArrayView {
             name: &self.name,
             data: &self.data,
-            version: self.version,
             required,
+            array: self,
         }
     }
 
@@ -287,8 +311,8 @@ impl ValidatedIndexArray {
     ///
     /// Note the boundary validates *memory safety* (domain), not the
     /// dependence property: a mutation may freely break monotonicity —
-    /// detecting that is the inspector's job, and the version bump
-    /// guarantees it re-runs.
+    /// the refreshed summaries carry the new verdict, and the changed
+    /// checksum keys it apart from any cached one.
     pub fn mutate(&mut self, f: impl FnOnce(&mut Vec<usize>)) -> Result<(), ValidationError> {
         let snapshot = self.data.clone();
         f(&mut self.data);
@@ -547,9 +571,9 @@ mod tests {
     fn view_carries_identity_and_version() {
         let mut a = ValidatedIndexArray::ingest("b", vec![0, 1], 10, untrusted()).unwrap();
         let v = a.view(MonotoneReq::Strict);
-        assert_eq!((v.name, v.version, v.data.len()), ("b", 0, 2));
+        assert_eq!((v.name, v.version(), v.data.len()), ("b", 0, 2));
         a.mutate(|d| d.push(4)).unwrap();
-        assert_eq!(a.view(MonotoneReq::Strict).version, 1);
+        assert_eq!(a.view(MonotoneReq::Strict).version(), 1);
     }
 
     #[test]

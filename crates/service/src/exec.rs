@@ -5,17 +5,14 @@
 //! plan's scalar check is compiled once, and prepared problem instances
 //! are pooled so the hot path of a repeated request skips both
 //! `prepare()` and analysis entirely — all that remains is the guard
-//! ladder, whose inspection rung is served by the service's sharded,
-//! content-addressed verdict cache.
+//! ladder, [`GuardedExecutor::decide_recoverable`] over the instance's
+//! own validated index arrays, with verdicts served by the service's
+//! sharded, content-addressed verdict cache ([`ShardSource`]).
 //!
-//! The entry keeps, alongside each pooled instance, *ingested copies*
-//! of its index arrays ([`ValidatedIndexArray`]): the copies carry the
-//! checksum/provenance identity the shard cache keys on. A copy is only
-//! trusted while the live instance's write-version matches the version
-//! recorded at copy time — any drift re-ingests before inspection, and
-//! the executor's dispatch-time tamper gate re-reads the live versions
-//! once more, so a writer racing between inspection and dispatch forces
-//! the serial golden path rather than a stale parallel admission.
+//! The executor's dispatch-time tamper gate re-reads the live
+//! write-versions, so a writer racing between decision and dispatch
+//! forces the serial golden path rather than a stale parallel
+//! admission.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -25,13 +22,10 @@ use subsub_core::{analyze_program, AlgorithmLevel, CheckExpr};
 use subsub_failpoint as failpoint;
 use subsub_kernels::{kernel_by_name, KernelInstance, Variant};
 use subsub_omprt::{cancel::with_ambient_cancel, CancelToken, RegionError, Schedule, ThreadPool};
-use subsub_rtcheck::{
-    Decision, ExecError, GuardPath, GuardStats, GuardVerdict, GuardedExecutor, Provenance,
-    ValidatedIndexArray,
-};
+use subsub_rtcheck::{ExecError, GuardPath, GuardStats, GuardedExecutor, VerdictOrigin};
 
 use crate::request::{Outcome, ServiceError};
-use crate::shard::{Lookup, ShardedVerdictCache};
+use crate::shard::{Lookup, ShardSource};
 
 /// How many reset instances an entry keeps pooled. More than the worker
 /// count is never useful; beyond this, checked-in instances are dropped.
@@ -41,16 +35,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A prepared problem instance plus the ingested, content-fingerprinted
-/// copies of its index arrays.
-struct PreparedInstance {
-    inst: Box<dyn KernelInstance>,
-    /// One ingested copy per index array, in `index_arrays()` order.
-    ingested: Vec<ValidatedIndexArray>,
-    /// The live view's write-version at the time each copy was taken.
-    copied_at: Vec<u64>,
-}
-
 /// One (kernel, dataset) pair: analysis decision, compiled check,
 /// guarded executor, and an instance pool.
 pub struct KernelEntry {
@@ -58,7 +42,7 @@ pub struct KernelEntry {
     dataset: String,
     variant: Variant,
     executor: GuardedExecutor,
-    pool_of_instances: Mutex<Vec<PreparedInstance>>,
+    pool_of_instances: Mutex<Vec<Box<dyn KernelInstance>>>,
     golden: Mutex<Option<f64>>,
 }
 
@@ -67,17 +51,19 @@ pub struct KernelEntry {
 pub struct ExecReport {
     /// The outcome (always [`Outcome::Executed`]).
     pub outcome: Outcome,
-    /// The verdict-cache lookup classification, when inspection ran.
+    /// The verdict-cache lookup classification, when a verdict was read
+    /// (the costliest across the kernel's index arrays).
     pub cache: Option<Lookup>,
 }
 
 impl KernelEntry {
     /// Runs the compile-time pipeline for `kernel_name` and binds the
-    /// decision for `dataset`.
+    /// decision for `dataset`; the guard reads verdicts through `source`.
     pub fn new(
         kernel_name: &str,
         dataset: &str,
         level: AlgorithmLevel,
+        source: ShardSource,
     ) -> Result<KernelEntry, ServiceError> {
         let kernel = kernel_by_name(kernel_name).ok_or_else(|| ServiceError::UnknownKernel {
             name: kernel_name.to_string(),
@@ -115,25 +101,20 @@ impl KernelEntry {
             ),
         };
         let executor =
-            GuardedExecutor::new(check.as_ref()).map_err(|e| ServiceError::Rejected {
-                code: "check-not-executable".to_string(),
-                detail: format!("{kernel_name}: check not executable: {e}"),
+            GuardedExecutor::with_source(check.as_ref(), Box::new(source)).map_err(|e| {
+                ServiceError::Rejected {
+                    code: "check-not-executable".to_string(),
+                    detail: format!("{kernel_name}: check not executable: {e}"),
+                }
             })?;
-        let entry = KernelEntry {
+        Ok(KernelEntry {
             kernel_name: kernel_name.to_string(),
             dataset: dataset.to_string(),
             variant,
             executor,
-            pool_of_instances: Mutex::new(Vec::new()),
+            pool_of_instances: Mutex::new(vec![probe]),
             golden: Mutex::new(None),
-        };
-        let (ingested, copied_at) = entry.ingest_views(probe.as_ref());
-        lock(&entry.pool_of_instances).push(PreparedInstance {
-            inst: probe,
-            ingested,
-            copied_at,
-        });
-        Ok(entry)
+        })
     }
 
     /// The compile-time variant decision.
@@ -146,68 +127,19 @@ impl KernelEntry {
         self.executor.stats()
     }
 
-    fn ingest_views(&self, inst: &dyn KernelInstance) -> (Vec<ValidatedIndexArray>, Vec<u64>) {
-        let mut ingested = Vec::new();
-        let mut copied_at = Vec::new();
-        for view in inst.index_arrays() {
-            // Domain validation happened in the kernel constructor; the
-            // service boundary adds content fingerprint + provenance.
-            let arr = ValidatedIndexArray::ingest(
-                view.name,
-                view.data.to_vec(),
-                usize::MAX,
-                Provenance::Dataset {
-                    name: format!("{}:{}", self.kernel_name, self.dataset),
-                },
-            )
-            .expect("usize::MAX domain admits any subscript");
-            ingested.push(arr);
-            copied_at.push(view.version);
-        }
-        (ingested, copied_at)
-    }
-
-    fn checkout(&self) -> PreparedInstance {
-        if let Some(p) = lock(&self.pool_of_instances).pop() {
-            return p;
+    fn checkout(&self) -> Box<dyn KernelInstance> {
+        if let Some(inst) = lock(&self.pool_of_instances).pop() {
+            return inst;
         }
         let kernel = kernel_by_name(&self.kernel_name).expect("entry validated at construction");
-        let inst = kernel.prepare(&self.dataset);
-        let (ingested, copied_at) = self.ingest_views(inst.as_ref());
-        PreparedInstance {
-            inst,
-            ingested,
-            copied_at,
-        }
+        kernel.prepare(&self.dataset)
     }
 
-    fn restore(&self, mut p: PreparedInstance) {
-        p.inst.reset();
-        // Reset restores the pristine dataset but also rolls back any
-        // tamper, so the copies must be refreshed on next checkout if
-        // versions moved; `refresh` below handles that lazily.
+    fn restore(&self, mut inst: Box<dyn KernelInstance>) {
+        inst.reset();
         let mut pool = lock(&self.pool_of_instances);
         if pool.len() < INSTANCE_POOL_CAP {
-            pool.push(p);
-        }
-    }
-
-    /// Re-ingests any index-array copy whose live write-version moved
-    /// since the copy was taken.
-    fn refresh(p: &mut PreparedInstance) {
-        let views = p.inst.index_arrays();
-        for (i, view) in views.iter().enumerate() {
-            if p.copied_at.get(i).copied() != Some(view.version) {
-                let refreshed = ValidatedIndexArray::ingest(
-                    view.name,
-                    view.data.to_vec(),
-                    usize::MAX,
-                    p.ingested[i].provenance().clone(),
-                )
-                .expect("usize::MAX domain admits any subscript");
-                p.ingested[i] = refreshed;
-                p.copied_at[i] = view.version;
-            }
+            pool.push(inst);
         }
     }
 
@@ -217,43 +149,37 @@ impl KernelEntry {
         if let Some(g) = *lock(&self.golden) {
             return g;
         }
-        let mut p = self.checkout();
-        p.inst.run_serial();
-        let g = p.inst.checksum();
-        self.restore(p);
+        let mut inst = self.checkout();
+        inst.run_serial();
+        let g = inst.checksum();
+        self.restore(inst);
         *lock(&self.golden) = Some(g);
         g
     }
 
     /// One guarded execution through the service's sharded verdict
     /// cache. `serialized` forces the serial path (degraded-mode
-    /// admission); `paranoid` re-verifies ingested copies before
-    /// serving cached verdicts; `cancel` (the per-job token) is
-    /// installed as the ambient token around every kernel region and
-    /// checked at each rung boundary — a tripped token abandons the
-    /// invocation with [`ServiceError::Canceled`], discarding partial
-    /// work.
+    /// admission); `cancel` (the per-job token) is installed as the
+    /// ambient token around every kernel region and checked at each rung
+    /// boundary — a tripped token abandons the invocation with
+    /// [`ServiceError::Canceled`], discarding partial work.
     pub fn execute(
         &self,
-        cache: &ShardedVerdictCache,
         pool: &ThreadPool,
         serialized: bool,
-        paranoid: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<ExecReport, ServiceError> {
-        let mut p = self.checkout();
-        let report = self.execute_prepared(&mut p, cache, pool, serialized, paranoid, cancel);
-        self.restore(p);
+        let mut inst = self.checkout();
+        let report = self.execute_prepared(inst.as_mut(), pool, serialized, cancel);
+        self.restore(inst);
         report
     }
 
     fn execute_prepared(
         &self,
-        p: &mut PreparedInstance,
-        cache: &ShardedVerdictCache,
+        inst: &mut dyn KernelInstance,
         pool: &ThreadPool,
         serialized: bool,
-        paranoid: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<ExecReport, ServiceError> {
         let _kernel_span =
@@ -263,82 +189,47 @@ impl KernelEntry {
             return Err(ServiceError::Canceled);
         }
         if self.variant == Variant::Serial || serialized {
-            p.inst.run_serial();
+            inst.run_serial();
             if cancelled() {
                 return Err(ServiceError::Canceled);
             }
             return Ok(ExecReport {
                 outcome: Outcome::Executed {
                     path: GuardPath::Serial,
-                    checksum: p.inst.checksum(),
+                    checksum: inst.checksum(),
                     degraded: (self.variant == Variant::Serial)
                         .then_some(ExecError::AnalysisSerial),
                 },
                 cache: None,
             });
         }
-        KernelEntry::refresh(p);
-        let bindings = p.inst.runtime_bindings();
-        // Breaker admission + scalar check (no arrays: inspection goes
-        // through the shard cache below, not the per-executor memo).
-        let mut decision =
-            self.executor
-                .decide_recoverable(&self.kernel_name, &bindings, &[], Some(pool));
-        let mut cache_lookup: Option<Lookup> = None;
-        if decision.verdict.path == GuardPath::Parallel {
-            let required: Vec<_> = p.inst.index_arrays().iter().map(|v| v.required).collect();
-            let mut inspected = Vec::with_capacity(p.ingested.len());
-            let mut denial: Option<ExecError> = None;
-            for (i, arr) in p.ingested.iter().enumerate() {
-                match cache.verdict_for(arr, Some(pool), paranoid) {
-                    Ok((verdict, lookup)) => {
-                        cache_lookup = Some(match cache_lookup {
-                            None => lookup,
-                            Some(prev) => combine(prev, lookup),
-                        });
-                        inspected.push((arr.name().to_string(), p.copied_at[i]));
-                        if !verdict.satisfies(required[i]) {
-                            denial = Some(ExecError::NotMonotone {
-                                array: arr.name().to_string(),
-                                required: required[i],
-                                first_violation: verdict.first_violation,
-                            });
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        denial = Some(e.into());
-                        break;
-                    }
-                }
-            }
-            decision = Decision {
-                verdict: match denial {
-                    None => GuardVerdict {
-                        path: GuardPath::Parallel,
-                        reason: None,
-                    },
-                    Some(reason) => GuardVerdict {
-                        path: GuardPath::Serial,
-                        reason: Some(reason),
-                    },
-                },
-                inspected,
-            };
-        }
+        let bindings = inst.runtime_bindings();
+        let decision = self.executor.decide_recoverable(
+            &self.kernel_name,
+            &bindings,
+            &inst.index_arrays(),
+            Some(pool),
+        );
+        let cache_lookup = decision
+            .inspected
+            .iter()
+            .filter_map(|seen| match seen.origin {
+                VerdictOrigin::Cache(lookup) => Some(lookup),
+                VerdictOrigin::Summary => None,
+            })
+            .reduce(combine);
         // Dispatch-time tamper gate: re-read the live versions.
-        let versions_owned: Vec<(String, u64)> = p
-            .inst
+        let versions_owned: Vec<(String, u64)> = inst
             .index_arrays()
             .iter()
-            .map(|v| (v.name.to_string(), v.version))
+            .map(|v| (v.name.to_string(), v.version()))
             .collect();
         let versions: Vec<(&str, u64)> = versions_owned
             .iter()
             .map(|(n, v)| (n.as_str(), *v))
             .collect();
         let variant = self.variant;
-        let cell = RefCell::new(&mut p.inst);
+        let cell = RefCell::new(inst);
         let (checksum, reason) = match self.executor.execute_admitted_cancellable(
             &self.kernel_name,
             &decision,
@@ -393,8 +284,8 @@ impl KernelEntry {
     }
 }
 
-/// Misses dominate (an inspection ran); then coalesced waits; warm and
-/// live hits are cheapest.
+/// Misses dominate (a verdict was computed); then coalesced waits; warm
+/// and live hits are cheapest.
 fn combine(a: Lookup, b: Lookup) -> Lookup {
     fn rank(l: Lookup) -> u8 {
         match l {
@@ -444,14 +335,17 @@ fn classify_panic(p: &(dyn std::any::Any + Send)) -> ExecError {
 /// every worker.
 pub struct KernelRegistry {
     level: AlgorithmLevel,
+    source: ShardSource,
     entries: Mutex<HashMap<(String, String), Arc<KernelEntry>>>,
 }
 
 impl KernelRegistry {
-    /// An empty registry analyzing at `level`.
-    pub fn new(level: AlgorithmLevel) -> KernelRegistry {
+    /// An empty registry analyzing at `level`, whose entries read
+    /// verdicts through `source`.
+    pub fn new(level: AlgorithmLevel, source: ShardSource) -> KernelRegistry {
         KernelRegistry {
             level,
+            source,
             entries: Mutex::new(HashMap::new()),
         }
     }
@@ -465,7 +359,12 @@ impl KernelRegistry {
         // Built outside the lock: analysis takes milliseconds and other
         // requests should not stall behind it. A racing builder is
         // harmless — last writer wins, both entries are equivalent.
-        let built = Arc::new(KernelEntry::new(kernel, dataset, self.level)?);
+        let built = Arc::new(KernelEntry::new(
+            kernel,
+            dataset,
+            self.level,
+            self.source.clone(),
+        )?);
         let mut entries = lock(&self.entries);
         Ok(Arc::clone(entries.entry(key).or_insert(built)))
     }
@@ -474,28 +373,44 @@ impl KernelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedVerdictCache;
+
+    fn source(shards: usize, cap: usize) -> ShardSource {
+        ShardSource {
+            cache: Arc::new(ShardedVerdictCache::new(shards, cap)),
+            paranoid: true,
+        }
+    }
+
+    fn amgmk(source: ShardSource) -> KernelEntry {
+        KernelEntry::new("AMGmk", "test", AlgorithmLevel::New, source).unwrap()
+    }
 
     #[test]
     fn unknown_kernel_and_dataset_are_rejected() {
         assert!(matches!(
-            KernelEntry::new("NoSuchKernel", "test", AlgorithmLevel::New),
+            KernelEntry::new("NoSuchKernel", "test", AlgorithmLevel::New, source(1, 1)),
             Err(ServiceError::UnknownKernel { .. })
         ));
         assert!(matches!(
-            KernelEntry::new("AMGmk", "no-such-dataset", AlgorithmLevel::New),
+            KernelEntry::new(
+                "AMGmk",
+                "no-such-dataset",
+                AlgorithmLevel::New,
+                source(1, 1)
+            ),
             Err(ServiceError::UnknownKernel { .. })
         ));
     }
 
     #[test]
     fn repeated_execution_hits_the_shard_cache() {
-        let cache = ShardedVerdictCache::new(4, 64);
         let pool = ThreadPool::new(2);
-        let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
+        let entry = amgmk(source(4, 64));
         assert_eq!(entry.variant(), Variant::OuterParallel);
-        let first = entry.execute(&cache, &pool, false, true, None).unwrap();
+        let first = entry.execute(&pool, false, None).unwrap();
         assert_eq!(first.cache, Some(Lookup::Miss));
-        let second = entry.execute(&cache, &pool, false, true, None).unwrap();
+        let second = entry.execute(&pool, false, None).unwrap();
         assert_eq!(second.cache, Some(Lookup::Hit));
         let (Outcome::Executed { checksum: a, .. }, Outcome::Executed { checksum: b, .. }) =
             (&first.outcome, &second.outcome)
@@ -508,10 +423,9 @@ mod tests {
 
     #[test]
     fn serialized_mode_forces_the_serial_path() {
-        let cache = ShardedVerdictCache::new(2, 16);
         let pool = ThreadPool::new(2);
-        let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
-        let r = entry.execute(&cache, &pool, true, true, None).unwrap();
+        let entry = amgmk(source(2, 16));
+        let r = entry.execute(&pool, true, None).unwrap();
         let Outcome::Executed { path, checksum, .. } = r.outcome else {
             panic!("expected executed outcome");
         };

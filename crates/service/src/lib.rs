@@ -12,9 +12,10 @@
 //!
 //! The core is the [`ShardedVerdictCache`]: N independently-locked
 //! shards of monotonicity verdicts keyed by content checksum +
-//! provenance + inspector kind, replacing the per-executor
-//! identity-keyed memo for the multi-tenant case. Verdicts persist
-//! across restarts via the `subsub-cache/v1` snapshot
+//! provenance + inspector kind, the one verdict cache. Each kernel's
+//! guarded executor reads through it ([`ShardSource`]) on the same
+//! decision ladder every other caller uses. Verdicts persist across
+//! restarts via the `subsub-cache/v2` snapshot
 //! ([`snapshot`]) — versioned, digest-validated, rejected wholesale on
 //! any corruption, and never trusted for dispatch without the
 //! executor's write-version tamper gate re-validating the live arrays.
@@ -52,7 +53,7 @@ pub use request::{
 };
 pub use service::{AnalysisService, ServiceConfig, ServiceStats, Ticket};
 pub use shard::{
-    CachedVerdict, InspectorKind, Lookup, ShardStats, ShardedVerdictCache, VerdictKey,
+    CachedVerdict, InspectorKind, Lookup, ShardSource, ShardStats, ShardedVerdictCache, VerdictKey,
 };
 pub use snapshot::{
     load_snapshot, parse_snapshot, write_snapshot, SnapshotError, SNAPSHOT_VERSION,

@@ -81,7 +81,7 @@ use crate::request::{
     Outcome, Payload, Request, RequestTelemetry, Response, ServiceError, ShedReason,
     NUM_SHED_REASONS,
 };
-use crate::shard::{ShardStats, ShardedVerdictCache};
+use crate::shard::{ShardSource, ShardStats, ShardedVerdictCache};
 use crate::snapshot::{self, SnapshotError};
 use crate::store::{Recovery, SnapshotStore, StoreStats};
 
@@ -320,7 +320,7 @@ struct Inner {
     cfg: ServiceConfig,
     queue: Mutex<QueueState>,
     jobs_cv: Condvar,
-    cache: ShardedVerdictCache,
+    cache: Arc<ShardedVerdictCache>,
     registry: KernelRegistry,
     pool: Arc<ThreadPool>,
     mode: Mutex<Mode>,
@@ -513,15 +513,11 @@ impl Inner {
                 cache: None,
             },
             Payload::Execute { kernel, dataset } => {
-                match self.registry.entry(kernel, dataset).and_then(|e| {
-                    e.execute(
-                        &self.cache,
-                        &self.pool,
-                        serialized,
-                        self.cfg.paranoid_verify,
-                        cancel,
-                    )
-                }) {
+                match self
+                    .registry
+                    .entry(kernel, dataset)
+                    .and_then(|e| e.execute(&self.pool, serialized, cancel))
+                {
                     Ok(report) => {
                         // Guarded outcomes that fell back for fault-like
                         // reasons feed the degradation ladder.
@@ -750,9 +746,14 @@ impl AnalysisService {
             .snapshot_dir
             .as_ref()
             .and_then(|dir| SnapshotStore::open(dir).ok());
+        let cache = Arc::new(ShardedVerdictCache::new(cfg.shards, cfg.shard_capacity));
+        let source = ShardSource {
+            cache: Arc::clone(&cache),
+            paranoid: cfg.paranoid_verify,
+        };
         let inner = Arc::new(Inner {
-            cache: ShardedVerdictCache::new(cfg.shards, cfg.shard_capacity),
-            registry: KernelRegistry::new(cfg.level),
+            registry: KernelRegistry::new(cfg.level, source),
+            cache,
             pool,
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),

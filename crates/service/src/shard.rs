@@ -1,17 +1,18 @@
 //! The sharded, content-addressed verdict cache at the heart of the
-//! service.
+//! service — production's one verdict cache.
 //!
-//! The per-executor [`subsub_rtcheck::InspectorCache`] keys verdicts on
-//! an array's *identity* (name + address + length) and write-version —
-//! perfect for one long-lived caller re-running one instance, useless
-//! for a service where every request may materialize its own copy of
-//! the same logical data at a fresh address. This cache keys on
-//! *content*: the [`ValidatedIndexArray`] checksum, its provenance tag,
-//! and the inspector kind ([`VerdictKey`]). Two requests carrying
-//! bit-identical arrays share one verdict no matter where the bytes
-//! live — and, because the key is position-independent, verdicts
-//! survive across processes via the `subsub-cache/v2` snapshot
-//! ([`crate::snapshot`]).
+//! Verdicts are keyed on *content*: the [`ValidatedIndexArray`]
+//! checksum, its provenance tag, and the inspector kind
+//! ([`VerdictKey`]). Two requests carrying bit-identical arrays share
+//! one verdict no matter where the bytes live — and, because the key is
+//! position-independent, verdicts survive across processes via the
+//! `subsub-cache/v2` snapshot ([`crate::snapshot`]). [`ShardSource`]
+//! plugs the cache into the guard as its [`VerdictSource`], so the
+//! service decides through the same
+//! [`GuardedExecutor::decide_recoverable`] ladder as every other
+//! caller.
+//!
+//! [`GuardedExecutor::decide_recoverable`]: subsub_rtcheck::GuardedExecutor::decide_recoverable
 //!
 //! Three properties the service relies on:
 //!
@@ -30,22 +31,22 @@
 //! checksum fingerprints. [`ShardedVerdictCache::verdict_for`] accepts
 //! only a [`ValidatedIndexArray`] and (optionally, see
 //! [`crate::ServiceConfig::paranoid_verify`]) re-verifies it first, so
-//! an array tampered through the trust boundary (version bump →
+//! an array mutated through the trust boundary (version bump →
 //! checksum refresh) computes a *different key* and misses, while a
 //! bypassing writer (stale checksum) is rejected outright. Dispatch
 //! additionally re-validates write-versions (the executor's tamper
 //! gate), so a verdict — live or warm-started — is never trusted for
-//! dispatch on content that drifted after inspection.
+//! dispatch on content that drifted after the decision.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use subsub_failpoint as failpoint;
-use subsub_omprt::ThreadPool;
 use subsub_rtcheck::{
-    MonotoneVerdict, ValidatedIndexArray, ValidationError, VerdictCache, FINGERPRINT_VERSION,
+    MonotoneVerdict, ValidatedIndexArray, ValidationError, VerdictCache, VerdictOrigin,
+    VerdictSource, FINGERPRINT_VERSION,
 };
 use subsub_telemetry as telemetry;
 use subsub_telemetry::{EventKind, Phase};
@@ -124,26 +125,7 @@ pub struct CachedVerdict {
     pub warm: bool,
 }
 
-/// How a lookup was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
-    /// Served from a live entry this process inspected.
-    Hit,
-    /// Served from a warm-started snapshot entry.
-    WarmHit,
-    /// Waited for a concurrent leader's in-flight inspection.
-    Coalesced,
-    /// This lookup ran the inspection.
-    Miss,
-}
-
-impl Lookup {
-    /// Everything except a [`Lookup::Miss`] reused an existing or
-    /// in-flight inspection.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, Lookup::Miss)
-    }
-}
+pub use subsub_rtcheck::Lookup;
 
 /// Cumulative counters for one sharded cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -275,20 +257,17 @@ impl ShardedVerdictCache {
     /// additionally proves (by recomputing the fingerprint from raw
     /// data in `verify()`) that the *bytes* still match that state, so
     /// a bypassing writer is rejected before the summaries are
-    /// consulted. The `pool` parameter is kept for call-site
-    /// compatibility: no per-request O(n) scan remains to parallelize.
+    /// consulted.
     pub fn verdict_for(
         &self,
         array: &ValidatedIndexArray,
-        _pool: Option<&ThreadPool>,
         paranoid: bool,
     ) -> Result<(MonotoneVerdict, Lookup), ValidationError> {
         if paranoid {
             array.verify()?;
         }
         let key = VerdictKey::of(array, InspectorKind::Monotone);
-        let (verdict, lookup) = self.get_or_compute(key, || array.summary_verdict());
-        Ok((verdict, lookup))
+        Ok(self.get_or_compute(key, || array.summary_verdict()))
     }
 
     /// Core single-flight lookup: returns the cached verdict for `key`
@@ -412,10 +391,30 @@ impl ShardedVerdictCache {
     }
 }
 
+/// The guard's [`VerdictSource`] inside the service: the shared cache,
+/// with `verify()` gated by [`crate::ServiceConfig::paranoid_verify`].
+#[derive(Debug, Clone)]
+pub struct ShardSource {
+    /// The service-wide cache.
+    pub cache: Arc<ShardedVerdictCache>,
+    /// Re-verify each array from its raw bytes before the lookup.
+    pub paranoid: bool,
+}
+
+impl VerdictSource for ShardSource {
+    fn verdict(
+        &self,
+        array: &ValidatedIndexArray,
+    ) -> Result<(MonotoneVerdict, VerdictOrigin), ValidationError> {
+        let (verdict, lookup) = self.cache.verdict_for(array, self.paranoid)?;
+        Ok((verdict, VerdictOrigin::Cache(lookup)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subsub_rtcheck::Provenance;
+    use subsub_rtcheck::{Bindings, ExecError, GuardedExecutor, MonotoneReq, Provenance};
 
     fn ingest(name: &str, data: Vec<usize>) -> ValidatedIndexArray {
         ValidatedIndexArray::ingest(
@@ -434,8 +433,8 @@ mod tests {
         let cache = ShardedVerdictCache::new(4, 64);
         let a = ingest("a", vec![0, 1, 2, 3]);
         let b = ingest("a", vec![0, 1, 2, 3]); // separate allocation
-        let (va, la) = cache.verdict_for(&a, None, true).unwrap();
-        let (vb, lb) = cache.verdict_for(&b, None, true).unwrap();
+        let (va, la) = cache.verdict_for(&a, true).unwrap();
+        let (vb, lb) = cache.verdict_for(&b, true).unwrap();
         assert_eq!((la, lb), (Lookup::Miss, Lookup::Hit));
         assert_eq!(va, vb);
         assert_eq!(cache.stats().misses, 1);
@@ -445,11 +444,11 @@ mod tests {
     fn mutation_through_the_boundary_changes_the_key() {
         let cache = ShardedVerdictCache::new(4, 64);
         let mut a = ingest("a", vec![0, 1, 2, 3]);
-        let (v, _) = cache.verdict_for(&a, None, true).unwrap();
+        let (v, _) = cache.verdict_for(&a, true).unwrap();
         assert!(v.strict);
         a.mutate(|d| d[2] = 0).unwrap();
         // Version bumped, checksum refreshed: new key, fresh inspection.
-        let (v2, lookup) = cache.verdict_for(&a, None, true).unwrap();
+        let (v2, lookup) = cache.verdict_for(&a, true).unwrap();
         assert_eq!(lookup, Lookup::Miss);
         assert!(!v2.nonstrict);
         assert_eq!(cache.stats().misses, 2);
@@ -459,9 +458,9 @@ mod tests {
     fn bypassing_writer_is_rejected_in_paranoid_mode() {
         let cache = ShardedVerdictCache::new(2, 64);
         let mut a = ingest("a", vec![0, 1, 2, 3]);
-        cache.verdict_for(&a, None, true).unwrap();
+        cache.verdict_for(&a, true).unwrap();
         a.bypass_validation_mut()[1] = 3; // unannounced write
-        let err = cache.verdict_for(&a, None, true).unwrap_err();
+        let err = cache.verdict_for(&a, true).unwrap_err();
         assert!(matches!(err, ValidationError::ChecksumMismatch { .. }));
     }
 
@@ -476,8 +475,8 @@ mod tests {
             Provenance::Generated { seed: 7 },
         )
         .unwrap();
-        cache.verdict_for(&a, None, true).unwrap();
-        let (_, lookup) = cache.verdict_for(&b, None, true).unwrap();
+        cache.verdict_for(&a, true).unwrap();
+        let (_, lookup) = cache.verdict_for(&b, true).unwrap();
         assert_eq!(lookup, Lookup::Miss, "different provenance, different key");
     }
 
@@ -495,7 +494,7 @@ mod tests {
                 len: 3,
             },
         );
-        let (v, lookup) = cache.verdict_for(&a, None, true).unwrap();
+        let (v, lookup) = cache.verdict_for(&a, true).unwrap();
         assert_eq!(lookup, Lookup::WarmHit);
         assert!(v.strict);
         let s = cache.stats();
@@ -507,11 +506,41 @@ mod tests {
         let cache = ShardedVerdictCache::new(1, 4);
         for i in 0..32usize {
             let a = ingest("a", vec![i, i + 1, i + 2]);
-            cache.verdict_for(&a, None, true).unwrap();
+            cache.verdict_for(&a, true).unwrap();
         }
         let s = cache.stats();
         assert_eq!(s.entries, 4);
         assert_eq!(s.evictions, 28);
         assert_eq!(s.misses, 32);
+    }
+
+    #[test]
+    fn guard_over_the_shard_source_reports_origins_and_denies_bypass() {
+        let source = ShardSource {
+            cache: Arc::new(ShardedVerdictCache::new(2, 16)),
+            paranoid: true,
+        };
+        let exec = GuardedExecutor::with_source(None, Box::new(source.clone())).unwrap();
+        let mut a = ingest("a", vec![0, 1, 2, 3]);
+        for want in [Lookup::Miss, Lookup::Hit] {
+            let d = exec.decide_recoverable(
+                "k",
+                &Bindings::new(),
+                &[a.view(MonotoneReq::Strict)],
+                None,
+            );
+            assert_eq!(d.inspected[0].origin, VerdictOrigin::Cache(want));
+        }
+        // An unannounced write is denied before any cache lookup.
+        a.bypass_validation_mut()[1] = 2;
+        let d =
+            exec.decide_recoverable("k", &Bindings::new(), &[a.view(MonotoneReq::Strict)], None);
+        assert!(matches!(
+            d.verdict.reason,
+            Some(ExecError::InvalidIndexArray { .. })
+        ));
+        assert!(d.inspected.is_empty());
+        let s = source.cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
     }
 }

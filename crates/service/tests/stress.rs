@@ -73,7 +73,7 @@ fn racing_lookups_run_exactly_one_inspection() {
                     // Widen the race window so every follower arrives
                     // while the leader is still inspecting.
                     std::thread::sleep(Duration::from_millis(30));
-                    subsub_rtcheck::inspect_monotone(a.data(), None)
+                    subsub_rtcheck::inspect_serial(a.data())
                 });
                 assert!(verdict.strict);
             })
@@ -135,14 +135,14 @@ fn racing_service_requests_share_one_inspection() {
 fn tampered_array_never_serves_stale_verdict_from_live_shards() {
     let cache = ShardedVerdictCache::new(4, 64);
     let mut a = ingest("t", (0..256).collect());
-    let (v, lookup) = cache.verdict_for(&a, None, true).unwrap();
+    let (v, lookup) = cache.verdict_for(&a, true).unwrap();
     assert!(v.strict);
     assert_eq!(lookup, Lookup::Miss);
     // Hot: second lookup hits.
-    assert_eq!(cache.verdict_for(&a, None, true).unwrap().1, Lookup::Hit);
+    assert_eq!(cache.verdict_for(&a, true).unwrap().1, Lookup::Hit);
     // Tamper through the boundary: break monotonicity.
     a.mutate(|d| d[100] = 0).unwrap();
-    let (v2, lookup2) = cache.verdict_for(&a, None, true).unwrap();
+    let (v2, lookup2) = cache.verdict_for(&a, true).unwrap();
     assert_eq!(lookup2, Lookup::Miss, "stale verdict served after tamper");
     assert!(!v2.nonstrict, "fresh inspection must see the violation");
     assert_eq!(v2.first_violation, Some(100));
@@ -156,14 +156,14 @@ fn tampered_array_never_serves_stale_verdict_from_snapshot() {
     let live = ShardedVerdictCache::new(4, 64);
     let mut a = ingest("w", (0..256).collect());
     let twin = ingest("w", (0..256).collect());
-    live.verdict_for(&a, None, true).unwrap();
+    live.verdict_for(&a, true).unwrap();
     let snapshot = write_snapshot(&live);
 
     a.mutate(|d| d[7] = 0).unwrap();
 
     let fresh = ShardedVerdictCache::new(4, 64);
     subsub_service::load_snapshot(&fresh, &snapshot).expect("valid snapshot");
-    let (v, lookup) = fresh.verdict_for(&a, None, true).unwrap();
+    let (v, lookup) = fresh.verdict_for(&a, true).unwrap();
     assert_eq!(
         lookup,
         Lookup::Miss,
@@ -171,7 +171,7 @@ fn tampered_array_never_serves_stale_verdict_from_snapshot() {
     );
     assert!(!v.nonstrict);
     // The untampered twin is exactly what the snapshot described.
-    let (tv, tlookup) = fresh.verdict_for(&twin, None, true).unwrap();
+    let (tv, tlookup) = fresh.verdict_for(&twin, true).unwrap();
     assert_eq!(tlookup, Lookup::WarmHit);
     assert!(tv.strict);
 }

@@ -8,7 +8,6 @@
 //! ingestion, overflowing predicates cannot reach the parallel path,
 //! and a pinned fuzz campaign over every kernel stays divergence-free.
 
-use subsub::omprt::ThreadPool;
 use subsub::rtcheck::{Provenance, ValidatedIndexArray, ValidationError};
 use subsub_oracle::{check_kernel, gen_array, run_campaign, ArrayShape, FuzzConfig, ALL_SHAPES};
 
@@ -78,18 +77,14 @@ fn pinned_campaigns_stay_clean_across_the_stack() {
     // ci.sh): arrays through ingestion+inspection, predicates through
     // compile-vs-reference, mutated sources through the frontend
     // contract, no kernels here to keep the test fast.
-    let pool = ThreadPool::new(3);
     for seed in [7u64, 31337, 271828] {
-        let report = run_campaign(
-            &FuzzConfig {
-                seed,
-                arrays_per_shape: 4,
-                predicates: 60,
-                sources: 24,
-                kernels: false,
-            },
-            &pool,
-        );
+        let report = run_campaign(&FuzzConfig {
+            seed,
+            arrays_per_shape: 4,
+            predicates: 60,
+            sources: 24,
+            kernels: false,
+        });
         assert!(report.is_clean(), "seed {seed} diverged:\n{report}");
         assert_eq!(report.source_cases, 24, "source leg did not run");
     }

@@ -160,7 +160,7 @@ fn tamper_between_inspection_and_dispatch_is_caught() {
     let versions_owned: Vec<(String, u64)> = inst
         .index_arrays()
         .iter()
-        .map(|v| (v.name.to_string(), v.version))
+        .map(|v| (v.name.to_string(), v.version()))
         .collect();
     let versions: Vec<(&str, u64)> = versions_owned
         .iter()
