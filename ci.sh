@@ -81,7 +81,9 @@ run_step quick "cargo clippy (no unwrap in omprt/rtcheck/cfront/core hot paths)"
 
 run_step quick "debug build" cargo build --workspace
 
-run_step quick "test suite" cargo test --workspace -q
+# --no-fail-fast: a failing crate must not hide the crates after it;
+# the step still fails if any test does.
+run_step quick "test suite" cargo test --workspace -q --no-fail-fast
 
 # The benchmark (perfbench/) is its own workspace over this one's public
 # API; build and test it here so an API change that breaks it fails in

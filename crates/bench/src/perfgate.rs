@@ -63,7 +63,7 @@ pub fn run_suite() -> Vec<BenchStats> {
 
     // Fused single-pass ingest: domain scan + per-block fingerprint +
     // monotonicity summaries over one traversal (what `ingest` pays).
-    out.push(bench("inspect/simd-65536", || {
+    out.push(bench("ingest/fused-65536", || {
         let s = BlockSummaries::build(std::hint::black_box(&ramp), INSPECT_LEN)
             .expect("ramp is in domain");
         std::hint::black_box(s.checksum());
@@ -106,6 +106,13 @@ pub fn run_suite() -> Vec<BenchStats> {
         Provenance::Generated { seed: 0x5eed },
     )
     .expect("ramp is in domain");
+    // The tamper gate over the same 1 Mi array: one fused pass of domain
+    // scan + fingerprint from raw data, Θ(n) by design.
+    out.push(bench("verify/1Mi", || {
+        std::hint::black_box(&big)
+            .verify()
+            .expect("untampered array verifies");
+    }));
     out.push(bench("reinspect/delta-1Mi", || {
         let at = n / 2;
         let v = big.data()[at];

@@ -29,7 +29,7 @@ use subsub_omprt::{Schedule, ThreadPool};
 use subsub_rtcheck::{
     composed_verdict, inspect_block_monotone, inspect_serial, Bindings, BlockSummaries, CheckExpr,
     CompiledCheck, EvalError, GuardPath, GuardedExecutor, MonotoneVerdict, Provenance,
-    ValidatedIndexArray, BLOCK_LEN,
+    ValidatedIndexArray, ValidationError, BLOCK_LEN,
 };
 use subsub_sparse::Rng64;
 
@@ -471,17 +471,27 @@ pub fn check_reinspect(
     }
 
     // Tamper leg: a write that bypasses the boundary leaves the
-    // summaries stale; verify() must catch it from the raw bytes.
+    // summaries stale; verify() must catch it from the raw bytes and
+    // name the block the write landed in.
     if !mirror.is_empty() {
         let at = mirror.len() / 2;
         // Accepted arrays have every value < domain <= usize::MAX, so
         // +1 cannot wrap and is guaranteed to change the contents.
         array.bypass_validation_mut()[at] += 1;
-        if array.verify().is_ok() {
-            out.push(mismatch(
+        match array.verify() {
+            Err(ValidationError::ChecksumMismatch { block, .. })
+                if block == Some(at / BLOCK_LEN) => {}
+            Ok(()) => out.push(mismatch(
                 plan.len(),
                 format!("bypassing write at {at} escaped verify()"),
-            ));
+            )),
+            Err(e) => out.push(mismatch(
+                plan.len(),
+                format!(
+                    "bypassing write at {at} (block {}) misreported: {e}",
+                    at / BLOCK_LEN
+                ),
+            )),
         }
     }
     out

@@ -4,13 +4,14 @@
 //! mutation that invalidated it. This module cuts an index array into
 //! fixed [`BLOCK_LEN`]-element blocks and keeps one [`BlockSummary`] per
 //! block — its boundary values, its interior monotonicity flags, the
-//! absolute index of its first interior decrease, and a per-block FNV
-//! fingerprint. From the summary vector alone the whole-array verdict
-//! and the whole-array checksum recombine in O(blocks): interior flags
-//! AND together in block order, the pairs *joining* adjacent blocks are
-//! re-derived from the stored `last`/`first` boundary values, and the
-//! block fingerprints fold (in block order, seeded with the length) into
-//! the `subsub-fingerprint/v2` content checksum.
+//! absolute index of its first interior decrease, and a per-block
+//! 32-lane FNV-1a fingerprint. From the summary vector alone the
+//! whole-array verdict and the whole-array checksum recombine in
+//! O(blocks): interior flags AND together in block order, the pairs
+//! *joining* adjacent blocks are re-derived from the stored
+//! `last`/`first` boundary values, and the block fingerprints fold (in
+//! block order, seeded with the length) into the
+//! `subsub-fingerprint/v3` content checksum.
 //!
 //! After a ranged mutation, only the blocks overlapping the dirty window
 //! need rescanning — every join pair is recovered from boundary values
@@ -23,7 +24,9 @@
 //! long as every writer goes through the boundary. A bypassing writer
 //! leaves them stale — which is the same staleness the content checksum
 //! catches, and why `verify()` recomputes from raw data before any
-//! summary-derived verdict is trusted (see `validate.rs`).
+//! summary-derived verdict is trusted (see `validate.rs`). That
+//! recompute is `verify_scan`: one allocation-free pass that reads
+//! every element and no summary.
 
 use crate::inspect::{scan_pairs, MonotoneVerdict};
 use std::ops::Range;
@@ -33,39 +36,81 @@ use std::ops::Range;
 /// only 256 summaries (~10 KiB) and an O(256) recombine.
 pub const BLOCK_LEN: usize = 4096;
 
-/// Version tag of the combined content checksum ([`combine_fnv`]):
-/// `subsub-fingerprint/v2`, the per-block word-folded FNV-1a scheme.
-/// Rides along in service cache keys and snapshots so a verdict
-/// fingerprinted under one scheme is never served under another.
-pub const FINGERPRINT_VERSION: u8 = 2;
+/// Version tag of the combined content checksum (`combine_fnv`):
+/// `subsub-fingerprint/v3`, the per-block 32-lane FNV-1a scheme
+/// (`block_fnv`). Rides along in service cache keys and snapshots so a
+/// verdict fingerprinted under one scheme is never served under another.
+pub const FINGERPRINT_VERSION: u8 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
-/// FNV-1a folded one `u64` word per element. The v1 fingerprint folded
-/// byte-wise (eight dependent multiplies per element); v2 folds the
-/// whole word, keeping single-bit sensitivity (xor-then-multiply mixes
-/// every flipped bit through the state) at an eighth of the dependency
-/// chain.
+/// Independent FNV-1a lanes per block fingerprint. Part of the v3
+/// scheme's definition, not a tuning knob: changing it changes every
+/// fingerprint.
+const LANES: usize = 32;
+
+/// The `subsub-fingerprint/v3` block fingerprint. Lane `l` folds the
+/// elements `l, l + 32, l + 64, …` word by word with FNV-1a; at the block
+/// end the 32 lane states fold in lane order into one value, seeded with
+/// the block length ([`combine_fnv`] again). The lanes are independent
+/// multiply chains, so the loop vectorizes (one packed 64-bit multiply
+/// per 8 lanes with AVX-512) instead of waiting on one serial chain.
+///
+/// Every step `h ↦ (h ^ v) · prime` is a bijection in both `h` and `v`
+/// (the prime is odd), so changing any single word always changes its
+/// lane's final state and hence the block value — detection of a
+/// single-word change is certain, not probabilistic.
+///
+/// Work Θ(b), Span Θ(b) for a block of `b` elements (serial); the
+/// longest dependent multiply chain is ⌈b/32⌉ + 32 long.
 fn block_fnv(block: &[usize]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &v in block {
-        h = (h ^ v as u64).wrapping_mul(FNV_PRIME);
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut rows = block.chunks_exact(LANES);
+    for row in &mut rows {
+        for (h, &v) in lanes.iter_mut().zip(row) {
+            *h = (*h ^ v as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (h, &v) in lanes.iter_mut().zip(rows.remainder()) {
+        *h = (*h ^ v as u64).wrapping_mul(FNV_PRIME);
+    }
+    combine_fnv(block.len(), lanes.into_iter())
+}
+
+/// The `subsub-fingerprint/v3` combining rule: fold the parts in order,
+/// seeded with the element count. Used twice — lanes into a block value
+/// and blocks into the array checksum. Order sensitivity comes from the
+/// fold, length sensitivity from the seed — so the combined value is
+/// well-defined given only (length, block fingerprints) and recomputes
+/// in O(blocks) after any block rescan.
+fn combine_fnv(len: usize, parts: impl Iterator<Item = u64>) -> u64 {
+    let mut h = FNV_OFFSET ^ (len as u64);
+    for f in parts {
+        h = (h ^ f).wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// The `subsub-fingerprint/v2` combining rule: fold the per-block
-/// fingerprints in block order, seeded with the element count. Order
-/// sensitivity comes from the fold, length sensitivity from the seed —
-/// so the combined value is well-defined given only (length, block
-/// fingerprints) and recomputes in O(blocks) after any block rescan.
-fn combine_fnv(len: usize, block_fnvs: impl Iterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET ^ (len as u64);
-    for f in block_fnvs {
-        h = (h ^ f).wrapping_mul(FNV_PRIME);
-    }
-    h
+/// The tamper gate's fused pass over raw data: per [`BLOCK_LEN`] window,
+/// the domain scan and the block fingerprint run back to back while the
+/// window is L1-resident, and the block values fold into the combined
+/// checksum. Returns that checksum (equal to
+/// [`BlockSummaries::checksum`] of a fresh build) and the first index
+/// whose entry is `>= domain`. Reads every element; consults no stored
+/// summary.
+///
+/// Work Θ(n), Span Θ(n), no allocation.
+pub(crate) fn verify_scan(data: &[usize], domain: usize) -> (u64, Option<usize>) {
+    let mut first_bad = None;
+    let block_fnvs = data.chunks(BLOCK_LEN).enumerate().map(|(k, block)| {
+        if first_bad.is_none() {
+            first_bad = first_out_of_domain(block, domain).map(|rel| k * BLOCK_LEN + rel);
+        }
+        block_fnv(block)
+    });
+    let checksum = combine_fnv(data.len(), block_fnvs);
+    (checksum, first_bad)
 }
 
 /// What one block contributes to the whole-array verdict and checksum.
@@ -196,8 +241,10 @@ impl BlockSummaries {
     /// element range) against the current `data`, whose length must be
     /// unchanged since the summaries were built. Join pairs need no
     /// rescan: they are re-derived from the refreshed `first`/`last`
-    /// boundary values at combine time. Cost: O(blocks touched) element
-    /// work plus nothing else.
+    /// boundary values at combine time.
+    ///
+    /// Work Θ(Δ + BLOCK_LEN) for a dirty window of Δ elements (every
+    /// touched block is rescanned whole), Span Θ(Δ + BLOCK_LEN).
     pub fn rescan(&mut self, data: &[usize], dirty: Range<usize>) {
         debug_assert_eq!(data.len(), self.len, "rescan cannot change length");
         if dirty.start >= dirty.end {
@@ -212,9 +259,24 @@ impl BlockSummaries {
         }
     }
 
-    /// The `subsub-fingerprint/v2` combined content checksum, O(blocks).
+    /// The `subsub-fingerprint/v3` combined content checksum, from the
+    /// stored block fingerprints.
+    ///
+    /// Work Θ(n/BLOCK_LEN), Span Θ(n/BLOCK_LEN).
     pub fn checksum(&self) -> u64 {
         combine_fnv(self.len, self.blocks.iter().map(|b| b.fnv))
+    }
+
+    /// The first block whose fingerprint over `data` differs from its
+    /// stored one, if any — which block an out-of-band writer touched.
+    /// A diagnostic label for a checksum mismatch the tamper gate has
+    /// already decided from raw data; it never decides anything itself.
+    ///
+    /// Work O(n), Span O(n); stops at the first drifted block.
+    pub(crate) fn first_drifted_block(&self, data: &[usize]) -> Option<usize> {
+        data.chunks(BLOCK_LEN)
+            .zip(&self.blocks)
+            .position(|(block, s)| block_fnv(block) != s.fnv)
     }
 
     /// Derives the whole-array verdict from the summaries, O(blocks).
@@ -447,6 +509,121 @@ mod tests {
                 BlockSummaries::build_unchecked(&data).checksum()
             );
         }
+    }
+
+    /// Block lengths around every lane and block edge of the v3 scheme.
+    const EDGE_LENS: [usize; 7] = [1, 31, 32, 33, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1];
+
+    #[test]
+    fn fused_scan_checksum_equals_summary_checksum() {
+        for n in [0, 3 * BLOCK_LEN + 17].into_iter().chain(EDGE_LENS) {
+            let data: Vec<usize> = (0..n).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+            assert_eq!(
+                verify_scan(&data, usize::MAX),
+                (checked(&data).checksum(), None),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn v3_detects_every_single_word_change() {
+        // Every position: each lane of every full row of 32, and every
+        // slot of the remainder tail. Detection is certain (each FNV
+        // step is a bijection), so no position may ever collide.
+        for n in EDGE_LENS {
+            let data: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
+            let base = verify_scan(&data, usize::MAX).0;
+            let mut changed = data.clone();
+            for i in 0..n {
+                changed[i] ^= 1 << (i % 64);
+                assert_ne!(
+                    verify_scan(&changed, usize::MAX).0,
+                    base,
+                    "n = {n}, i = {i}"
+                );
+                changed[i] = data[i];
+            }
+        }
+    }
+
+    #[test]
+    fn v3_detects_a_swap_within_one_lane() {
+        for n in EDGE_LENS.into_iter().filter(|&n| n > LANES) {
+            let block: Vec<usize> = (0..n.min(BLOCK_LEN)).collect();
+            let base = block_fnv(&block);
+            for l in [0, 1, LANES - 1]
+                .into_iter()
+                .filter(|l| l + LANES < block.len())
+            {
+                // Same lane: the next row, and the lane's last row.
+                let last = l + LANES * ((block.len() - 1 - l) / LANES);
+                for other in [l + LANES, last] {
+                    let mut swapped = block.clone();
+                    swapped.swap(l, other);
+                    assert_ne!(block_fnv(&swapped), base, "n = {n}, swap {l} <-> {other}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn v3_separates_zero_arrays_whose_lengths_differ_by_a_lane_row() {
+        // Zero runs differ only in how many zeros each lane folded and
+        // in the length seeds; together they must tell them apart.
+        for n in [0, 1, 32, 33, BLOCK_LEN - LANES, BLOCK_LEN, 2 * BLOCK_LEN] {
+            let short = vec![0usize; n];
+            let long = vec![0usize; n + LANES];
+            assert_ne!(verify_scan(&short, 1).0, verify_scan(&long, 1).0, "n = {n}");
+            if n + LANES <= BLOCK_LEN {
+                assert_ne!(block_fnv(&short), block_fnv(&long), "block, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn drifted_block_is_the_first_changed_one() {
+        let n = BLOCK_LEN * 3 + 5;
+        let data: Vec<usize> = (0..n).collect();
+        let s = checked(&data);
+        assert_eq!(s.first_drifted_block(&data), None);
+        for (at, block) in [(0, 0), (BLOCK_LEN - 1, 0), (BLOCK_LEN, 1), (n - 1, 3)] {
+            let mut tampered = data.clone();
+            tampered[at] += 1;
+            assert_eq!(s.first_drifted_block(&tampered), Some(block), "at {at}");
+        }
+        // Two drifted blocks: the earlier one is named.
+        let mut tampered = data.clone();
+        tampered[2 * BLOCK_LEN + 3] = 0;
+        tampered[BLOCK_LEN + 9] = 0;
+        assert_eq!(s.first_drifted_block(&tampered), Some(1));
+    }
+
+    #[test]
+    fn fused_scan_reports_the_first_offender_across_blocks() {
+        let n = BLOCK_LEN * 3 + 40;
+        let domain = n;
+        let ramp: Vec<usize> = (0..n).collect();
+        for offenders in [
+            vec![0],
+            vec![BLOCK_LEN - 1, 2 * BLOCK_LEN],
+            vec![BLOCK_LEN],
+            vec![2 * BLOCK_LEN + 7, n - 1],
+            vec![n - 1],
+        ] {
+            let mut data = ramp.clone();
+            for &i in &offenders {
+                data[i] = domain + i;
+            }
+            let (_, first_bad) = verify_scan(&data, domain);
+            assert_eq!(
+                first_bad,
+                first_out_of_domain(&data, domain),
+                "{offenders:?}"
+            );
+            assert_eq!(first_bad, Some(offenders[0]));
+        }
+        assert_eq!(verify_scan(&ramp, domain).1, None);
     }
 
     #[test]

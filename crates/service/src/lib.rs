@@ -15,7 +15,7 @@
 //! provenance + inspector kind, the one verdict cache. Each kernel's
 //! guarded executor reads through it ([`ShardSource`]) on the same
 //! decision ladder every other caller uses. Verdicts persist across
-//! restarts via the `subsub-cache/v2` snapshot
+//! restarts via the `subsub-cache/v3` snapshot
 //! ([`snapshot`]) — versioned, digest-validated, rejected wholesale on
 //! any corruption, and never trusted for dispatch without the
 //! executor's write-version tamper gate re-validating the live arrays.

@@ -906,7 +906,7 @@ impl AnalysisService {
         })
     }
 
-    /// Serializes the verdict cache as a `subsub-cache/v2` document.
+    /// Serializes the verdict cache as a `subsub-cache/v3` document.
     pub fn snapshot(&self) -> String {
         snapshot::write_snapshot(&self.inner.cache)
     }

@@ -6,7 +6,7 @@
 //! ([`VerdictKey`]). Two requests carrying bit-identical arrays share
 //! one verdict no matter where the bytes live — and, because the key is
 //! position-independent, verdicts survive across processes via the
-//! `subsub-cache/v2` snapshot ([`crate::snapshot`]). [`ShardSource`]
+//! `subsub-cache/v3` snapshot ([`crate::snapshot`]). [`ShardSource`]
 //! plugs the cache into the guard as its [`VerdictSource`], so the
 //! service decides through the same
 //! [`GuardedExecutor::decide_recoverable`] ladder as every other
@@ -82,8 +82,8 @@ impl InspectorKind {
 /// provenance tag, and inspector kind. Length rides along so two arrays
 /// whose FNV checksums collide across different lengths still key
 /// apart; the fingerprint version rides along so a checksum computed
-/// under one scheme (the byte-wise v1, the block-folded v2, ...) is
-/// never matched against one computed under another.
+/// under one scheme (the byte-wise v1, the block-folded v2, the 32-lane
+/// v3) is never matched against one computed under another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VerdictKey {
     /// Content fingerprint from the ingestion trust boundary
@@ -461,7 +461,10 @@ mod tests {
         cache.verdict_for(&a, true).unwrap();
         a.bypass_validation_mut()[1] = 3; // unannounced write
         let err = cache.verdict_for(&a, true).unwrap_err();
-        assert!(matches!(err, ValidationError::ChecksumMismatch { .. }));
+        assert!(matches!(
+            err,
+            ValidationError::ChecksumMismatch { block: Some(0), .. }
+        ));
     }
 
     #[test]

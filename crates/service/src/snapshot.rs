@@ -1,4 +1,4 @@
-//! `subsub-cache/v2`: the warm-start snapshot of the sharded verdict
+//! `subsub-cache/v3`: the warm-start snapshot of the sharded verdict
 //! cache.
 //!
 //! The snapshot is a versioned JSON document carrying the cache's
@@ -22,14 +22,15 @@ use crate::shard::{InspectorKind, ShardedVerdictCache, VerdictKey};
 use subsub_rtcheck::{MonotoneVerdict, FINGERPRINT_VERSION};
 use subsub_telemetry::json::{self, Json};
 
-/// Magic/version tag of the format this module reads and writes. The
-/// v1→v2 bump tracks the `subsub-fingerprint/v1→v2` checksum change:
-/// a v1 snapshot's keys were computed under the byte-wise fingerprint
-/// and can never match a key this build computes, so v1 documents are
-/// rejected cleanly ([`SnapshotError::WrongVersion`] — the service
-/// starts cold and rebuilds, it never panics and never serves a
-/// cross-scheme verdict).
-pub const SNAPSHOT_VERSION: &str = "subsub-cache/v2";
+/// Magic/version tag of the format this module reads and writes. Each
+/// bump tracks a content-fingerprint change (`subsub-fingerprint/v1→v2`:
+/// byte-wise to word-folded FNV-1a; `v2→v3`: one chain per block to 32
+/// lanes): an older snapshot's keys were computed under a retired
+/// fingerprint and can never match a key this build computes, so v1 and
+/// v2 documents are rejected cleanly ([`SnapshotError::WrongVersion`] —
+/// the service starts cold and rebuilds, it never panics and never
+/// serves a cross-scheme verdict).
+pub const SNAPSHOT_VERSION: &str = "subsub-cache/v3";
 
 /// Why a snapshot was rejected. Every variant means "start cold".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +40,7 @@ pub enum SnapshotError {
         /// Parser diagnostic.
         detail: String,
     },
-    /// Parsed, but not a `subsub-cache/v2` document (v1 and every
+    /// Parsed, but not a `subsub-cache/v3` document (v1, v2 and every
     /// other version land here).
     WrongVersion {
         /// What the document claimed.
@@ -109,7 +110,7 @@ fn canonical_line(key: &VerdictKey, v: &MonotoneVerdict) -> String {
     )
 }
 
-/// Serializes the cache's resident entries as a `subsub-cache/v2`
+/// Serializes the cache's resident entries as a `subsub-cache/v3`
 /// document. Entries are sorted by key so the output is deterministic.
 pub fn write_snapshot(cache: &ShardedVerdictCache) -> String {
     let mut entries = cache.entries();
@@ -177,7 +178,7 @@ fn num_bool(j: &Json, field: &str, index: usize) -> Result<bool, SnapshotError> 
     }
 }
 
-/// Parses and validates a `subsub-cache/v2` document into
+/// Parses and validates a `subsub-cache/v3` document into
 /// (key, verdict) pairs. Strict: any defect rejects the whole snapshot.
 pub fn parse_snapshot(text: &str) -> Result<Vec<(VerdictKey, MonotoneVerdict)>, SnapshotError> {
     let doc = json::parse(text).map_err(|e| SnapshotError::Malformed {
@@ -421,17 +422,48 @@ mod tests {
             })
         );
         assert_eq!(cache.stats().entries, 0, "cache must stay cold");
+
+        // A well-formed v2 document — correct digest over an `fp: 2`
+        // entry keyed under the single-chain fingerprint — is rejected
+        // just as wholesale.
+        let key = VerdictKey {
+            checksum: 0xdead_beef,
+            len: 3,
+            provenance: 2,
+            kind: InspectorKind::Monotone,
+            fp: 2,
+        };
+        let verdict = MonotoneVerdict {
+            nonstrict: true,
+            strict: true,
+            first_violation: None,
+            len: 3,
+        };
+        let digest = digest_lines(&[canonical_line(&key, &verdict)]);
+        let v2 = format!(
+            "{{\"version\": \"subsub-cache/v2\", \"digest\": \"{digest:016x}\", \"entries\": [\
+             {{\"checksum\": \"00000000deadbeef\", \"len\": 3, \"provenance\": \"0000000000000002\", \
+             \"kind\": 0, \"fp\": 2, \"nonstrict\": true, \"strict\": true, \
+             \"first_violation\": -1, \"vlen\": 3}}]}}"
+        );
+        assert_eq!(
+            load_snapshot(&cache, &v2),
+            Err(SnapshotError::WrongVersion {
+                found: "subsub-cache/v2".into()
+            })
+        );
+        assert_eq!(cache.stats().entries, 0, "cache must stay cold");
     }
 
     #[test]
     fn unknown_fingerprint_scheme_is_rejected() {
-        // A hypothetical v3 fingerprint inside an otherwise-valid v2
+        // A hypothetical v4 fingerprint inside an otherwise-valid v3
         // document: the entry gate must refuse it even before the
         // digest could vouch for it.
         let doc = format!(
             "{{\"version\": \"{SNAPSHOT_VERSION}\", \"digest\": \"0000000000000000\", \"entries\": [\
              {{\"checksum\": \"0000000000000001\", \"len\": 4, \"provenance\": \"0000000000000002\", \
-             \"kind\": 0, \"fp\": 3, \"nonstrict\": true, \"strict\": true, \
+             \"kind\": 0, \"fp\": 4, \"nonstrict\": true, \"strict\": true, \
              \"first_violation\": -1, \"vlen\": 4}}]}}"
         );
         match parse_snapshot(&doc) {

@@ -1,6 +1,6 @@
 //! Crash-consistent on-disk persistence for the verdict-cache snapshot.
 //!
-//! The in-memory `subsub-cache/v2` document ([`crate::snapshot`]) is
+//! The in-memory `subsub-cache/v3` document ([`crate::snapshot`]) is
 //! already self-validating — versioned, digest-checked, rejected
 //! wholesale on any corruption. This module gives it a durable home
 //! with the classic two-generation scheme:

@@ -66,7 +66,9 @@ fn tampering_after_ingestion_is_caught() {
     // A writer that bypasses the boundary breaks the checksum.
     v.bypass_validation_mut()[2] = 99;
     match v.verify() {
-        Err(ValidationError::ChecksumMismatch { array }) => assert_eq!(array, "t"),
+        Err(ValidationError::ChecksumMismatch { array, block }) => {
+            assert_eq!((array.as_str(), block), ("t", Some(0)))
+        }
         other => panic!("tamper not detected: {other:?}"),
     }
 }
